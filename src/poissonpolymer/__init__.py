@@ -43,7 +43,6 @@ from .estimators import (
     annealed_free_energy,
     dp_dbeta,
     dp_dnu,
-    dp_dnu_fd,
     localization_scan,
     nu_monotonicity,
     quenched_free_energy,
@@ -54,7 +53,6 @@ from .polymer import (
     FavouritePath,
     GibbsEnsemble,
     OccupancyField,
-    PolymerPath,
     TimeGrid,
     TwoToOneReport,
     assert_two_to_one,

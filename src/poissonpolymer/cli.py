@@ -50,7 +50,6 @@ from .estimators import (
     annealed_free_energy,
     dp_dbeta,
     dp_dnu,
-    dp_dnu_fd,
     localization_scan,
     quenched_free_energy,
 )
@@ -128,10 +127,7 @@ class RunPlan:
         for beta in betas:
             for nu in nus:
                 for t in ts:
-                    kwargs = dict(self.base, beta=beta, nu=nu, t=t)
-                    if self.base.get("n_steps") is None:
-                        kwargs["n_steps"] = None
-                    out.append(ExperimentConfig(**kwargs))
+                    out.append(ExperimentConfig(**dict(self.base, beta=beta, nu=nu, t=t)))
         return out
 
 
@@ -149,10 +145,10 @@ def build_run_plan(raw: dict, sweep: bool, seed_override: int | None = None) -> 
         "nu": _parse_number(raw, "nu", float,
                             1.0 if grids["nu"] is not None else None),
         "t": _parse_number(raw, "t", float, 4.0),
-        "n_steps": _parse_number(raw, "n_steps", int, 0) or None,
+        "n_steps": _parse_number(raw, "n_steps", int) if "n_steps" in raw else None,
         "n_paths": _parse_number(raw, "paths_per_env", int, 2000),
         "n_envs": _parse_number(raw, "n_envs", int, 200),
-        "bin_width": _parse_number(raw, "bin_width", float, 0.0) or None,
+        "bin_width": _parse_number(raw, "bin_width", float) if "bin_width" in raw else None,
         "delta": _parse_number(raw, "delta", float, 0.25),
         "seed": _parse_number(raw, "seed", int, 0),
     }
@@ -164,6 +160,12 @@ def build_run_plan(raw: dict, sweep: bool, seed_override: int | None = None) -> 
 
 def _nan_or(v) -> float:
     return float("nan") if v is None else float(v)
+
+
+def _none_if_nan(v: float) -> float | None:
+    """JSON has no NaN: an undefined number (one replicate's standard error,
+    a missing ESS) is written as null."""
+    return None if math.isnan(v) else v
 
 
 def _run_cell(mode: str, cfg: ExperimentConfig) -> list[dict]:
@@ -185,25 +187,17 @@ def _run_cell(mode: str, cfg: ExperimentConfig) -> list[dict]:
     elif mode == "annealed":
         row("annealed_free_energy", annealed_free_energy(cfg))
     elif mode == "dp-dbeta":
-        for method, name in (("direct", "dp_dbeta_direct"),
-                             ("palm", "dp_dbeta_palm"),
-                             ("finite_difference", "dp_dbeta_finite_difference")):
-            est = dp_dbeta(cfg, method=method)
-            row(name, est, est.diagnostics.get("ess_min"))
+        for name, est in dp_dbeta(cfg).items():
+            row(f"dp_dbeta_{name}", est, est.diagnostics.get("ess_min"))
     elif mode == "dp-dnu":
-        est = dp_dnu(cfg)
-        row("dp_dnu_field", est, est.diagnostics.get("ess_min"))
-        row("dp_dnu_coupled_fd", dp_dnu_fd(cfg))
+        for name, est in dp_dnu(cfg).items():
+            row(f"dp_dnu_{name}", est, est.diagnostics.get("ess_min"))
     else:  # localization
         cell = localization_scan([cfg])[0]
-        triple = {
-            "middle": {"value": cell.delta_middle.value,
-                       "std_error": cell.delta_middle.std_error},
-            "negligible_in_tube": {"value": cell.delta_negligible.value,
-                                   "std_error": cell.delta_negligible.std_error},
-            "predominant_out_of_tube": {"value": cell.delta_predominant.value,
-                                        "std_error": cell.delta_predominant.std_error},
-        }
+        triple = {name: {"value": est.value, "std_error": _none_if_nan(est.std_error)}
+                  for name, est in (("middle", cell.delta_middle),
+                                    ("negligible_in_tube", cell.delta_negligible),
+                                    ("predominant_out_of_tube", cell.delta_predominant))}
         extra = {"delta_sets": triple}
         row("replica_overlap", cell.overlap, cell.ess_min, extra)
         row("favourite_overlap", cell.favourite, cell.ess_min, extra)
@@ -231,7 +225,8 @@ def _write_outputs(out_dir: Path, rows: list[dict], config_text: str,
     json_rows = []
     for r in rows:
         obj = dict(r)
-        obj["ess_min"] = None if math.isnan(r["ess_min"]) else r["ess_min"]
+        obj["ess_min"] = _none_if_nan(r["ess_min"])
+        obj["std_error"] = _none_if_nan(r["std_error"])
         obj["config_sha256"] = config_sha
         json_rows.append(obj)
     (out_dir / "results.json").write_text(

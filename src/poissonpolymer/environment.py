@@ -145,10 +145,10 @@ def slab_indices(times: np.ndarray, t: float, n_steps: int) -> np.ndarray:
     return np.minimum(np.floor(times / dt).astype(np.int64), n_steps - 1)
 
 
-def count_in_tube(cloud: PointCloud, path) -> int:
-    """Number of cloud points inside the path's tube (with multiplicity)."""
-    counts = batch_tube_counts(cloud, path.positions[np.newaxis, :, :],
-                               path.grid.t, path.grid.n_steps)
+def count_in_tube(cloud: PointCloud, path: np.ndarray, t: float) -> int:
+    """Number of cloud points inside the tube of one path, shape
+    (n_steps+1, d) on the grid of horizon t (with multiplicity)."""
+    counts = batch_tube_counts(cloud, path[np.newaxis, :, :], t, path.shape[0] - 1)
     return int(counts[0])
 
 

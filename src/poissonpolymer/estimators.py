@@ -1,16 +1,20 @@
 """Monte Carlo experiments over environments.
 
 The sampling is environments-outer, paths-inner: each of the K environments
-gets its own path batch, the spatial window is sized from that batch (range
-inflated by r_d + 0.5, sampled after the paths so it covers all of them),
-and the cloud is drawn on that window.  Replicates use substreams derived
-from (seed, tag, replicate index), so results are independent of scheduling
-and reproducible bit for bit.
+gets its own path batch, an (M, n_steps + 1, d) array; the spatial window is
+sized from that batch (range inflated by r_d + 0.5, sampled after the paths
+so it covers all of them), and the cloud is drawn on that window.  One loop,
+``_over_environments``, builds every replicate's ensembles once and hands
+them to a per-experiment reducer.  Replicates use substreams derived from
+(seed, tag, replicate index), so results are independent of scheduling and
+reproducible bit for bit.
 
-Derivative estimators with finite differences share the random numbers of
-both evaluation points (same path batch and same cloud, or the coupled
-cloud superposition for intensity differences); the difference variance
-collapses by orders of magnitude compared to independent runs.
+Derivative estimators return all their estimates from that one pass:
+``dp_dbeta`` the direct, Palm and finite-difference forms, ``dp_dnu`` the
+field and coupled-difference forms.  Finite differences share the random
+numbers of both evaluation points (same path batch and same cloud, or the
+coupled cloud superposition for intensity differences); the difference
+variance collapses by orders of magnitude compared to independent runs.
 """
 
 from __future__ import annotations
@@ -20,14 +24,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .environment import SpaceTimeBox, count_in_tube, sample_poisson, superpose
 from .errors import InvalidParameterError
 from .geometry import unit_ball_radius
 from .polymer import (
     GibbsEnsemble,
-    PolymerPath,
     TimeGrid,
     WINDOW_MARGIN,
     assert_two_to_one,
@@ -51,7 +53,6 @@ __all__ = [
     "annealed_free_energy",
     "dp_dbeta",
     "dp_dnu",
-    "dp_dnu_fd",
     "nu_monotonicity",
     "localization_scan",
 ]
@@ -72,16 +73,8 @@ class EstimateWithError:
 def _mean_se(values, diagnostics: dict | None = None) -> EstimateWithError:
     arr = np.asarray(values, dtype=float)
     k = len(arr)
-    se = float(arr.std(ddof=1) / math.sqrt(k)) if k > 1 else 0.0
+    se = float(arr.std(ddof=1) / math.sqrt(k)) if k > 1 else math.nan
     return EstimateWithError(float(arr.mean()), se, k, diagnostics or {})
-
-
-def _warn_if_degenerate(ess_min: float, cfg: "ExperimentConfig"):
-    if ess_min < ESS_WARN_FRACTION * cfg.n_paths:
-        warnings.warn(
-            f"importance weights are degenerate: worst ESS {ess_min:.2f} is below "
-            f"{ESS_WARN_FRACTION:.0%} of {cfg.n_paths} paths per environment "
-            f"(beta={cfg.beta}, nu={cfg.nu})", RuntimeWarning, stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -105,6 +98,10 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for key in ("beta", "nu", "t", "bin_width", "delta"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise InvalidParameterError(f"invalid config value for key '{key}'")
         if self.n_steps is None:
             object.__setattr__(self, "n_steps", max(1, round(64 * self.t)))
         if self.bin_width is None:
@@ -114,7 +111,6 @@ class ExperimentConfig:
     def validate(self):
         checks = [
             ("d", self.d >= 1 and int(self.d) == self.d),
-            ("beta", math.isfinite(self.beta)),
             ("nu", self.nu >= 0),
             ("t", self.t > 0),
             ("n_steps", self.n_steps >= 1),
@@ -132,22 +128,47 @@ class ExperimentConfig:
         return TimeGrid(self.t, self.n_steps)
 
 
-def _environment(cfg: ExperimentConfig, index: int, nu: float | None = None):
-    """Paths plus a covering cloud for replicate ``index``."""
+def _over_environments(cfg: ExperimentConfig, reduce, nus=None, extra_nu=None):
+    """The environment loop of every path-batch experiment.
+
+    Replicate i samples its path batch once, sizes the window from it and
+    weights it in one cloud per intensity in ``nus`` (default ``cfg.nu``),
+    each drawn from the ("cloud", i) substream.  With ``extra_nu`` one more
+    ensemble sees the last of those clouds superposed with an independent
+    ``extra_nu`` cloud from ("cloud-extra", i), the coupling behind intensity
+    differences.  ``reduce(i, *ensembles)`` returns a tuple of floats; the
+    result is one array per tuple slot in replicate order, plus the worst
+    effective sample size of the first ensemble.
+    """
     grid = cfg.grid
-    paths = sample_paths(grid, cfg.d, cfg.n_paths, substream(cfg.seed, "paths", index))
-    positions = np.stack([p.positions for p in paths])
-    lo, hi = bounding_box_for(positions, cfg.t, WINDOW_MARGIN)
-    box = SpaceTimeBox(t_max=cfg.t, lo=lo, hi=hi)
-    cloud = sample_poisson(box, cfg.nu if nu is None else nu,
-                           substream(cfg.seed, "cloud", index))
-    return paths, cloud
+    rows = []
+    ess_min = math.inf
+    for i in range(cfg.n_envs):
+        positions = sample_paths(grid, cfg.d, cfg.n_paths,
+                                 substream(cfg.seed, "paths", i))
+        lo, hi = bounding_box_for(positions, cfg.t, WINDOW_MARGIN)
+        box = SpaceTimeBox(t_max=cfg.t, lo=lo, hi=hi)
+        clouds = [sample_poisson(box, nu, substream(cfg.seed, "cloud", i))
+                  for nu in (nus or (cfg.nu,))]
+        if extra_nu is not None:
+            extra = sample_poisson(box, extra_nu, substream(cfg.seed, "cloud-extra", i))
+            clouds.append(superpose(clouds[-1], extra))
+        ensembles = [build_ensemble(positions, grid, cloud, cfg.beta) for cloud in clouds]
+        ess_min = min(ess_min, ensembles[0].ess)
+        rows.append(reduce(i, *ensembles))
+    if ess_min < ESS_WARN_FRACTION * cfg.n_paths:
+        warnings.warn(
+            f"importance weights are degenerate: worst ESS {ess_min:.2f} is below "
+            f"{ESS_WARN_FRACTION:.0%} of {cfg.n_paths} paths per environment "
+            f"(beta={cfg.beta}, nu={cfg.nu})", RuntimeWarning, stacklevel=3)
+    return [np.array(column) for column in zip(*rows)], ess_min
 
 
-def _log_z(hamiltonians: np.ndarray, beta: float) -> float:
-    """ln of the M-sample partition estimate, in log space."""
-    g = beta * hamiltonians.astype(float)
-    return float(logsumexp(g) - math.log(len(g)))
+def _checked_field(cfg: ExperimentConfig, i: int, ens: GibbsEnsemble):
+    """Occupancy field of replicate i, its grid inequalities re-asserted."""
+    fld = occupancy_field(ens, cfg.bin_width)
+    assert_two_to_one(ens, fld, cfg.delta, seed=cfg.seed, replicate=i)
+    return fld
 
 
 def _log_z_jackknife(ensemble: GibbsEnsemble) -> tuple[float, float]:
@@ -169,17 +190,8 @@ def quenched_free_energy(cfg: ExperimentConfig) -> EstimateWithError:
     jackknife over paths removes the leading 1/M term, and the estimated
     bias plus the worst effective sample size are reported as diagnostics.
     """
-    values = np.empty(cfg.n_envs)
-    biases = np.empty(cfg.n_envs)
-    ess_min = math.inf
-    for i in range(cfg.n_envs):
-        paths, cloud = _environment(cfg, i)
-        ens = build_ensemble(paths, cloud, cfg.beta)
-        corrected, bias = _log_z_jackknife(ens)
-        values[i] = corrected / cfg.t
-        biases[i] = bias / cfg.t
-        ess_min = min(ess_min, ens.ess)
-    _warn_if_degenerate(ess_min, cfg)
+    (values, biases), ess_min = _over_environments(
+        cfg, lambda i, ens: tuple(v / cfg.t for v in _log_z_jackknife(ens)))
     diag = {"ess_min": ess_min,
             "ess_degenerate": ess_min < ESS_WARN_FRACTION * cfg.n_paths,
             "jackknife_bias_mean": float(biases.mean())}
@@ -197,26 +209,24 @@ def annealed_free_energy(cfg: ExperimentConfig) -> EstimateWithError:
     r = unit_ball_radius(cfg.d)
     box = SpaceTimeBox(t_max=cfg.t, lo=(-r - WINDOW_MARGIN,) * cfg.d,
                        hi=(r + WINDOW_MARGIN,) * cfg.d)
-    grid = cfg.grid
-    zero_path = PolymerPath(grid=grid, positions=np.zeros((grid.n_steps + 1, cfg.d)))
+    zero_path = np.zeros((cfg.n_steps + 1, cfg.d))
     counts = np.empty(cfg.n_envs, dtype=np.int64)
     for i in range(cfg.n_envs):
         cloud = sample_poisson(box, cfg.nu, substream(cfg.seed, "cloud", i))
-        counts[i] = count_in_tube(cloud, zero_path)
+        counts[i] = count_in_tube(cloud, zero_path, cfg.t)
     g = cfg.beta * counts.astype(float)
     shift = g.max()
     y = np.exp(g - shift)
     mean_y = float(y.mean())
     value = (shift + math.log(mean_y)) / cfg.t
     se = float(y.std(ddof=1) / math.sqrt(cfg.n_envs)) / mean_y / cfg.t \
-        if cfg.n_envs > 1 else 0.0
+        if cfg.n_envs > 1 else math.nan
     return EstimateWithError(value, se, cfg.n_envs,
                              {"target": cfg.nu * math.expm1(cfg.beta)})
 
 
-def dp_dbeta(cfg: ExperimentConfig, method: str = "direct",
-             eps: float = 0.05) -> EstimateWithError:
-    """Beta-derivative of the quenched free energy, three ways.
+def dp_dbeta(cfg: ExperimentConfig, eps: float = 0.05) -> dict[str, EstimateWithError]:
+    """Beta-derivative of the quenched free energy, three ways, from one pass.
 
     direct: Gibbs mean of the Hamiltonian over t.
     palm: the added-point identity turns the derivative into
@@ -224,70 +234,46 @@ def dp_dbeta(cfg: ExperimentConfig, method: str = "direct",
     finite_difference: central difference of (1/t) ln Z_hat at beta +- eps
         with common random numbers (same paths, same cloud).
     """
-    if method not in ("direct", "palm", "finite_difference"):
-        raise InvalidParameterError(f"unknown method {method!r}")
     lam = math.expm1(cfg.beta)
-    values = np.empty(cfg.n_envs)
-    ess_min = math.inf
-    for i in range(cfg.n_envs):
-        paths, cloud = _environment(cfg, i)
-        ens = build_ensemble(paths, cloud, cfg.beta)
-        ess_min = min(ess_min, ens.ess)
-        if method == "direct":
-            values[i] = float(ens.normalized_weights @ ens.hamiltonians) / cfg.t
-        elif method == "palm":
-            fld = occupancy_field(ens, cfg.bin_width)
-            assert_two_to_one(ens, fld, cfg.delta, seed=cfg.seed, replicate=i)
-            cell = fld.cell_volume
-            integral = float(np.mean(
-                np.sum(fld.values / (1.0 + lam * fld.values), axis=1)) * cell)
-            values[i] = cfg.nu * math.exp(cfg.beta) * integral
-        else:
-            h = ens.hamiltonians
-            values[i] = (_log_z(h, cfg.beta + eps)
-                         - _log_z(h, cfg.beta - eps)) / (2.0 * eps * cfg.t)
-    _warn_if_degenerate(ess_min, cfg)
-    return _mean_se(values, {"method": method, "ess_min": ess_min})
+
+    def reduce(i, ens):
+        fld = _checked_field(cfg, i, ens)
+        integral = float(np.mean(
+            np.sum(fld.values / (1.0 + lam * fld.values), axis=1)) * fld.cell_volume)
+        return (float(ens.normalized_weights @ ens.hamiltonians) / cfg.t,
+                cfg.nu * math.exp(cfg.beta) * integral,
+                (ens.log_z_at(cfg.beta + eps) - ens.log_z_at(cfg.beta - eps))
+                / (2.0 * eps * cfg.t))
+
+    columns, ess_min = _over_environments(cfg, reduce)
+    return {method: _mean_se(values, {"ess_min": ess_min}) for method, values
+            in zip(("direct", "palm", "finite_difference"), columns)}
 
 
-def dp_dnu(cfg: ExperimentConfig) -> EstimateWithError:
-    """Intensity-derivative via the field integral of ln(1 + lambda m)."""
-    lam = math.expm1(cfg.beta)
-    values = np.empty(cfg.n_envs)
-    ess_min = math.inf
-    for i in range(cfg.n_envs):
-        paths, cloud = _environment(cfg, i)
-        ens = build_ensemble(paths, cloud, cfg.beta)
-        ess_min = min(ess_min, ens.ess)
-        fld = occupancy_field(ens, cfg.bin_width)
-        assert_two_to_one(ens, fld, cfg.delta, seed=cfg.seed, replicate=i)
-        values[i] = float(np.mean(np.sum(np.log1p(lam * fld.values), axis=1))
-                          * fld.cell_volume)
-    _warn_if_degenerate(ess_min, cfg)
-    return _mean_se(values, {"ess_min": ess_min})
+def dp_dnu(cfg: ExperimentConfig, eps: float | None = None) -> dict[str, EstimateWithError]:
+    """Intensity-derivative two ways, from one pass over shared path batches.
 
-
-def dp_dnu_fd(cfg: ExperimentConfig, eps: float | None = None) -> EstimateWithError:
-    """Coupled central difference in the intensity.
-
-    The nu + eps cloud is the superposition of the nu - eps cloud with an
-    independent 2 eps cloud, evaluated on the same path batch.
+    field: the field integral of ln(1 + lambda m) at nu.
+    coupled_fd: central difference of (1/t) ln Z_hat in the intensity, where
+        the nu + eps cloud is the nu - eps cloud superposed with an
+        independent 2 eps cloud, on the same path batch.
     """
     if eps is None:
         eps = 0.05 * cfg.nu
     if not 0.0 < eps < cfg.nu:
         raise InvalidParameterError("need 0 < eps < nu for the coupled difference")
-    values = np.empty(cfg.n_envs)
-    for i in range(cfg.n_envs):
-        paths, cloud_lo = _environment(cfg, i, nu=cfg.nu - eps)
-        extra = sample_poisson(cloud_lo.box, 2.0 * eps,
-                               substream(cfg.seed, "cloud-extra", i))
-        cloud_hi = superpose(cloud_lo, extra)
-        h_lo = build_ensemble(paths, cloud_lo, cfg.beta).hamiltonians
-        h_hi = build_ensemble(paths, cloud_hi, cfg.beta).hamiltonians
-        values[i] = (_log_z(h_hi, cfg.beta) - _log_z(h_lo, cfg.beta)) \
-            / (2.0 * eps * cfg.t)
-    return _mean_se(values)
+    lam = math.expm1(cfg.beta)
+
+    def reduce(i, ens, ens_lo, ens_hi):
+        fld = _checked_field(cfg, i, ens)
+        return (float(np.mean(np.sum(np.log1p(lam * fld.values), axis=1))
+                      * fld.cell_volume),
+                (ens_hi.log_z_hat - ens_lo.log_z_hat) / (2.0 * eps * cfg.t))
+
+    (field_values, fd_values), ess_min = _over_environments(
+        cfg, reduce, nus=(cfg.nu, cfg.nu - eps), extra_nu=2.0 * eps)
+    return {"field": _mean_se(field_values, {"ess_min": ess_min}),
+            "coupled_fd": _mean_se(fd_values)}
 
 
 @dataclass(frozen=True)
@@ -309,18 +295,9 @@ def nu_monotonicity(cfg: ExperimentConfig, nu_lo: float) -> MonotonicitySlacks:
     if not 0.0 < nu_lo <= cfg.nu:
         raise InvalidParameterError(f"need 0 < nu_lo <= nu, got nu_lo={nu_lo}")
     gap = cfg.nu - nu_lo
-    diffs = np.empty(cfg.n_envs)
-    for i in range(cfg.n_envs):
-        paths, cloud_lo = _environment(cfg, i, nu=nu_lo)
-        if gap > 0:
-            extra = sample_poisson(cloud_lo.box, gap,
-                                   substream(cfg.seed, "cloud-extra", i))
-            cloud = superpose(cloud_lo, extra)
-        else:
-            cloud = cloud_lo
-        h_lo = build_ensemble(paths, cloud_lo, cfg.beta).hamiltonians
-        h_hi = build_ensemble(paths, cloud, cfg.beta).hamiltonians
-        diffs[i] = (_log_z(h_hi, cfg.beta) - _log_z(h_lo, cfg.beta)) / cfg.t
+    (diffs,), _ = _over_environments(
+        cfg, lambda i, ens_lo, ens_hi: ((ens_hi.log_z_hat - ens_lo.log_z_hat) / cfg.t,),
+        nus=(nu_lo,), extra_nu=gap)
     lam = math.expm1(cfg.beta)
     difference = _mean_se(diffs)
     lower = _mean_se(diffs - cfg.beta * gap)
@@ -342,25 +319,13 @@ class ScanCell:
 
 
 def _scan_cell(cfg: ExperimentConfig) -> ScanCell:
-    k = cfg.n_envs
-    r2 = np.empty(k)
-    r_star = np.empty(k)
-    middles = np.empty(k)
-    negs = np.empty(k)
-    preds = np.empty(k)
-    ess_min = math.inf
-    for i in range(k):
-        paths, cloud = _environment(cfg, i)
-        ens = build_ensemble(paths, cloud, cfg.beta)
-        fld = occupancy_field(ens, cfg.bin_width)
-        assert_two_to_one(ens, fld, cfg.delta, seed=cfg.seed, replicate=i)
-        r2[i] = replica_overlap(ens, fld)
-        r_star[i] = favourite_overlap(ens, favourite_path(fld))
+    def reduce(i, ens):
+        fld = _checked_field(cfg, i, ens)
         ds = delta_sets(fld, cfg.delta)
-        middles[i], negs[i], preds[i] = (ds.middle_measure, ds.negligible_in_tube,
-                                         ds.predominant_out_of_tube)
-        ess_min = min(ess_min, ens.ess)
-    _warn_if_degenerate(ess_min, cfg)
+        return (replica_overlap(ens, fld), favourite_overlap(ens, favourite_path(fld)),
+                ds.middle_measure, ds.negligible_in_tube, ds.predominant_out_of_tube)
+
+    (r2, r_star, middles, negs, preds), ess_min = _over_environments(cfg, reduce)
     return ScanCell(cfg=cfg, overlap=_mean_se(r2), favourite=_mean_se(r_star),
                     delta_middle=_mean_se(middles), delta_negligible=_mean_se(negs),
                     delta_predominant=_mean_se(preds), ess_min=ess_min)

@@ -81,15 +81,16 @@ def ball_overlap_volume(d: int, rho):
     return float(out) if np.isscalar(rho) or rho_arr.ndim == 0 else out
 
 
-def tube_indicator(path, k: int, x) -> int:
-    """1 iff the path at grid index k lies within r_d of x (closed ball).
+def tube_indicator(path: np.ndarray, k: int, x) -> int:
+    """1 iff the path, shape (n_steps+1, d), at grid index k lies within r_d
+    of x (closed ball).
 
     ``k`` indexes the path's time grid; anything off the grid is an error.
     """
-    n = path.positions.shape[0] - 1
+    n = path.shape[0] - 1
     if int(k) != k or k < 0 or k > n:
         raise InvalidParameterError(f"time index {k} off the grid [0, {n}]")
     x = np.asarray(x, dtype=float)
-    diff = path.positions[int(k)] - x
-    r = unit_ball_radius(path.positions.shape[1])
+    diff = path[int(k)] - x
+    r = unit_ball_radius(path.shape[1])
     return int(np.dot(diff, diff) <= r * r)

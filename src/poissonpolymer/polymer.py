@@ -27,7 +27,6 @@ from .geometry import ball_overlap_volume, unit_ball_radius
 
 __all__ = [
     "TimeGrid",
-    "PolymerPath",
     "GibbsEnsemble",
     "OccupancyField",
     "FavouritePath",
@@ -70,17 +69,12 @@ class TimeGrid:
         return np.arange(self.n_steps + 1) * self.dt
 
 
-@dataclass(frozen=True, eq=False)
-class PolymerPath:
-    """Discretized Brownian trajectory started at the origin."""
-
-    grid: TimeGrid
-    positions: np.ndarray  # (n_steps + 1, d)
-
-
 def sample_paths(grid: TimeGrid, d: int, n_paths: int,
-                 rng: np.random.Generator) -> list[PolymerPath]:
-    """Independent Gaussian walks with step covariance dt * I, from the origin."""
+                 rng: np.random.Generator) -> np.ndarray:
+    """Independent Gaussian walks with step covariance dt * I, from the origin.
+
+    Returns the path stack, shape (n_paths, n_steps + 1, d).
+    """
     if n_paths < 1:
         raise InvalidParameterError(f"path count must be positive, got {n_paths}")
     if d < 1 or int(d) != d:
@@ -88,7 +82,7 @@ def sample_paths(grid: TimeGrid, d: int, n_paths: int,
     steps = rng.normal(0.0, np.sqrt(grid.dt), size=(n_paths, grid.n_steps, d))
     positions = np.zeros((n_paths, grid.n_steps + 1, d))
     np.cumsum(steps, axis=1, out=positions[:, 1:, :])
-    return [PolymerPath(grid=grid, positions=positions[i]) for i in range(n_paths)]
+    return positions
 
 
 def bounding_box_for(positions: np.ndarray, t: float,
@@ -101,24 +95,31 @@ def bounding_box_for(positions: np.ndarray, t: float,
 
 
 class GibbsEnsemble:
-    """M weighted paths under one environment; Monte Carlo polymer measure."""
+    """M weighted paths under one environment; Monte Carlo polymer measure.
 
-    def __init__(self, paths: list[PolymerPath], hamiltonians: np.ndarray,
-                 beta: float, box):
-        self.paths = paths
-        self.grid = paths[0].grid
-        self.positions = np.stack([p.positions for p in paths])
+    ``positions`` is the (M, n_steps + 1, d) path stack on ``grid``.
+    """
+
+    def __init__(self, positions: np.ndarray, grid: TimeGrid,
+                 hamiltonians: np.ndarray, beta: float, box):
+        self.positions = positions
+        self.grid = grid
         self.hamiltonians = np.asarray(hamiltonians, dtype=np.int64)
         self.beta = float(beta)
         self.box = box
         self.log_weights = self.beta * self.hamiltonians.astype(float)
         shifted = np.exp(self.log_weights - self.log_weights.max())
         self.normalized_weights = shifted / shifted.sum()
-        self.log_z_hat = float(logsumexp(self.log_weights) - np.log(self.n_paths))
+        self.log_z_hat = self.log_z_at(self.beta)
+
+    def log_z_at(self, beta: float) -> float:
+        """ln Z_hat with the same Hamiltonians reweighted at ``beta``."""
+        g = beta * self.hamiltonians.astype(float)
+        return float(logsumexp(g) - np.log(self.n_paths))
 
     @property
     def n_paths(self) -> int:
-        return len(self.paths)
+        return self.positions.shape[0]
 
     @property
     def d(self) -> int:
@@ -134,16 +135,14 @@ class GibbsEnsemble:
         return float(1.0 / np.sum(self.normalized_weights ** 2))
 
 
-def build_ensemble(paths: list[PolymerPath], cloud: PointCloud,
+def build_ensemble(positions: np.ndarray, grid: TimeGrid, cloud: PointCloud,
                    beta: float) -> GibbsEnsemble:
-    """Weight a path batch by its tube counts in the given cloud.
+    """Weight a path stack on ``grid`` by its tube counts in the given cloud.
 
     Fails loudly if the cloud window does not cover every tube: points
     outside the window cannot be collected, so a too-small window would
     silently bias the Hamiltonians.
     """
-    grid = paths[0].grid
-    positions = np.stack([p.positions for p in paths])
     r = unit_ball_radius(positions.shape[2])
     lo, hi = np.asarray(cloud.box.lo), np.asarray(cloud.box.hi)
     pmin = positions.min(axis=(0, 1))
@@ -154,7 +153,7 @@ def build_ensemble(paths: list[PolymerPath], cloud: PointCloud,
             f"lo <= {pmin - r}, hi >= {pmax + r}, t_max >= {grid.t}; "
             f"box has lo={lo}, hi={hi}, t_max={cloud.box.t_max}")
     hamiltonians = batch_tube_counts(cloud, positions, grid.t, grid.n_steps)
-    return GibbsEnsemble(paths, hamiltonians, beta, cloud.box)
+    return GibbsEnsemble(positions, grid, hamiltonians, beta, cloud.box)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,10 +187,8 @@ def _bin_centers(box, h: float) -> np.ndarray:
     for lo, hi in zip(box.lo, box.hi):
         n_bins = int(np.ceil((hi - lo) / h))
         axes.append(lo + (np.arange(n_bins) + 0.5) * h)
-    if len(axes) == 1:
-        return axes[0][:, np.newaxis]
     mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return np.column_stack([m.ravel() for m in mesh])
 
 
 def occupancy_field(ensemble: GibbsEnsemble, h: float) -> OccupancyField:

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from poissonpolymer.environment import SpaceTimeBox, sample_poisson
@@ -17,12 +16,11 @@ def random_ensemble(seed, d=1, beta=0.7, nu=1.5, t=2.0, n_steps=32,
                     n_paths=24, h=None):
     """Small ensemble + field on a covering window, for invariant tests."""
     grid = TimeGrid(t, n_steps)
-    paths = sample_paths(grid, d, n_paths, substream(seed, "paths", 0))
-    positions = np.stack([p.positions for p in paths])
+    positions = sample_paths(grid, d, n_paths, substream(seed, "paths", 0))
     lo, hi = bounding_box_for(positions, t)
     box = SpaceTimeBox(t_max=t, lo=lo, hi=hi)
     cloud = sample_poisson(box, nu, substream(seed, "cloud", 0))
-    ensemble = build_ensemble(paths, cloud, beta)
+    ensemble = build_ensemble(positions, grid, cloud, beta)
     fld = occupancy_field(ensemble, h if h is not None else unit_ball_radius(d) / 4)
     return ensemble, fld
 

@@ -163,9 +163,8 @@ class TestCriterion5DerivativeCrossChecks:
 
     def test_direct_vs_palm_and_fd(self):
         start = time.perf_counter()
-        direct = dp_dbeta(CFG56, "direct")
-        palm = dp_dbeta(CFG56, "palm")
-        fd = dp_dbeta(CFG56, "finite_difference", eps=0.05)
+        est = dp_dbeta(CFG56, eps=0.05)
+        direct, palm, fd = est["direct"], est["palm"], est["finite_difference"]
         allowance = 0.05 * CFG56.nu * math.exp(CFG56.beta)
         gap_palm = abs(direct.value - palm.value)
         tol_palm = 3.0 * comb_se(direct, palm) + allowance

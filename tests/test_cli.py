@@ -127,6 +127,42 @@ class TestSimulate:
     def test_missing_config_exit_code_2(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("key", ["n_steps", "bin_width"])
+    def test_zero_is_rejected_not_defaulted(self, tmp_path, capsys, key):
+        config = write_config(tmp_path, MINIMAL + f"{key} = 0\n")
+        assert main(["simulate", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value,extra", [
+        ("t", "inf", ""), ("t", "inf", "n_steps = 64\n"), ("t", "nan", ""),
+        ("nu", "inf", ""), ("nu", "nan", ""), ("bin_width", "inf", ""),
+        ("delta", "nan", "")],
+        ids=["t-inf", "t-inf-n_steps", "t-nan", "nu-inf", "nu-nan", "bin_width-inf",
+             "delta-nan"])
+    def test_non_finite_value_names_key(self, tmp_path, capsys, key, value, extra):
+        kept = [line for line in MINIMAL.splitlines() if not line.startswith(f"{key} ")]
+        config = write_config(tmp_path, "\n".join(kept) + f"\n{key} = {value}\n{extra}")
+        assert main(["simulate", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["quenched", "annealed", "localization"])
+    def test_single_replicate_has_no_standard_error(self, tmp_path, mode):
+        text = MINIMAL.replace("beta = 0", "beta = 0.5").replace("n_envs = 4", "n_envs = 1")
+        config = write_config(tmp_path, text.replace("mode = quenched", f"mode = {mode}"))
+        out = tmp_path / "out"
+        assert main(["simulate", str(config), "--out", str(out)]) == 0
+        for line in (out / "results.csv").read_text().strip().split("\n")[1:]:
+            assert line.split(",")[10] == "nan"
+
+        def reject(constant):
+            raise AssertionError(f"results.json holds {constant}")
+
+        rows = json.loads((out / "results.json").read_text(), parse_constant=reject)
+        for row in rows:
+            assert row["std_error"] is None
+            for entry in row.get("delta_sets", {}).values():
+                assert entry["std_error"] is None
+
     def test_invariant_violation_exit_code_3(self, tmp_path, monkeypatch, capsys):
         def explode(*args, **kwargs):
             raise InvariantViolationError("forced", seed=9, replicate=0)

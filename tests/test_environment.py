@@ -17,10 +17,11 @@ from poissonpolymer.environment import (
 )
 from poissonpolymer.errors import IncompatibleBoxError, InvalidParameterError
 from poissonpolymer.geometry import unit_ball_radius
-from poissonpolymer.polymer import PolymerPath, TimeGrid, sample_paths
+from poissonpolymer.polymer import TimeGrid, sample_paths
 from poissonpolymer.streams import substream
 
 BOX1 = SpaceTimeBox(t_max=2.0, lo=(-1.5,), hi=(1.5,))
+T1 = BOX1.t_max  # horizon of the test paths below
 
 
 def cloud_from_points(points, box=BOX1, nu=1.0):
@@ -101,39 +102,36 @@ class TestRestrict:
 
 
 class TestCountInTube:
-    def straight_path(self, n_steps=8, t=2.0, x=0.0):
-        grid = TimeGrid(t, n_steps)
-        return PolymerPath(grid=grid, positions=np.full((n_steps + 1, 1), x))
+    def straight_path(self, n_steps=8, x=0.0):
+        return np.full((n_steps + 1, 1), x)
 
     def test_empty_cloud(self):
         empty = cloud_from_points([])
-        assert count_in_tube(empty, self.straight_path()) == 0
+        assert count_in_tube(empty, self.straight_path(), T1) == 0
 
     def test_single_point_on_path(self):
         cloud = cloud_from_points([(1.0, 0.0)])
-        assert count_in_tube(cloud, self.straight_path()) == 1
+        assert count_in_tube(cloud, self.straight_path(), T1) == 1
 
     def test_point_outside_radius(self):
         cloud = cloud_from_points([(1.0, 0.5 + 1e-9)])
-        assert count_in_tube(cloud, self.straight_path()) == 0
+        assert count_in_tube(cloud, self.straight_path(), T1) == 0
 
     def test_boundary_point_counts(self):
         cloud = cloud_from_points([(1.0, 0.5)])
-        assert count_in_tube(cloud, self.straight_path()) == 1
+        assert count_in_tube(cloud, self.straight_path(), T1) == 1
 
     def test_additivity_under_superposition(self):
         path = self.straight_path()
         a = sample_poisson(BOX1, 2.0, substream(5, "cloud", 0))
         b = sample_poisson(BOX1, 3.0, substream(5, "cloud", 1))
-        assert (count_in_tube(superpose(a, b), path)
-                == count_in_tube(a, path) + count_in_tube(b, path))
+        assert (count_in_tube(superpose(a, b), path, T1)
+                == count_in_tube(a, path, T1) + count_in_tube(b, path, T1))
 
     def test_slab_convention_left_constant(self):
         # slab k is [k dt, (k+1) dt): a grid time takes its own value, and
         # the final instant t belongs to the last slab
-        grid = TimeGrid(2.0, 4)
-        positions = np.array([[0.0], [10.0], [0.0], [10.0], [0.0]])
-        path = PolymerPath(grid=grid, positions=positions)
+        path = np.array([[0.0], [10.0], [0.0], [10.0], [0.0]])
         box = SpaceTimeBox(t_max=2.0, lo=(-11.0,), hi=(11.0,))
         cases = [
             ((0.5 - 1e-9, 10.0), 0),  # slab 0, path at 0
@@ -143,7 +141,8 @@ class TestCountInTube:
             ((2.0, 10.0), 1),         # t itself clamps into slab 3, path at 10
         ]
         for point, expected in cases:
-            assert count_in_tube(cloud_from_points([point], box=box), path) == expected
+            assert count_in_tube(cloud_from_points([point], box=box), path, 2.0) \
+                == expected
         assert slab_indices(np.array([2.0]), 2.0, 4)[0] == 3
 
     def test_tube_count_is_poisson_nu_t(self):
@@ -153,11 +152,11 @@ class TestCountInTube:
         grid = TimeGrid(t, 16)
         path = sample_paths(grid, 1, 1, substream(21, "paths", 0))[0]
         r = unit_ball_radius(1)
-        lo = (path.positions.min() - r - 0.5,)
-        hi = (path.positions.max() + r + 0.5,)
+        lo = (path.min() - r - 0.5,)
+        hi = (path.max() + r + 0.5,)
         box = SpaceTimeBox(t_max=t, lo=lo, hi=hi)
         counts = np.array([
-            count_in_tube(sample_poisson(box, nu, substream(22, "cloud", i)), path)
+            count_in_tube(sample_poisson(box, nu, substream(22, "cloud", i)), path, t)
             for i in range(n_rep)])
         target = nu * t
         assert abs(counts.mean() - target) <= 4.0 * math.sqrt(target / n_rep)
@@ -175,22 +174,21 @@ class TestPalmPoint:
         grid = TimeGrid(2.0, 8)
         rng = substream(31, "paths", 0)
         path = sample_paths(grid, 1, 1, rng)[0]
-        box = SpaceTimeBox(t_max=2.0, lo=(path.positions.min() - 1.0,),
-                           hi=(path.positions.max() + 1.0,))
+        box = SpaceTimeBox(t_max=2.0, lo=(path.min() - 1.0,), hi=(path.max() + 1.0,))
         cloud = sample_poisson(box, 2.0, substream(31, "cloud", 0))
-        base = count_in_tube(cloud, path)
+        base = count_in_tube(cloud, path, 2.0)
         for s, x in [(0.3, 0.1), (1.7, -0.4), (2.0, 0.0)]:
             k = slab_indices(np.array([s]), 2.0, 8)[0]
-            hit = int(abs(path.positions[k, 0] - x) <= 0.5)
+            hit = int(abs(path[k, 0] - x) <= 0.5)
             grown = add_palm_point(cloud, s, [x])
-            assert count_in_tube(grown, path) == base + hit
+            assert count_in_tube(grown, path, 2.0) == base + hit
 
     def test_duplicate_keeps_multiplicity(self):
         cloud = cloud_from_points([(1.0, 0.0)])
         doubled = add_palm_point(cloud, 1.0, [0.0])
         assert doubled.n_points == 2
         path = TestCountInTube().straight_path()
-        assert count_in_tube(doubled, path) == 2
+        assert count_in_tube(doubled, path, T1) == 2
 
     def test_outside_box_rejected(self):
         cloud = cloud_from_points([])

@@ -9,7 +9,6 @@ from poissonpolymer.estimators import (
     annealed_free_energy,
     dp_dbeta,
     dp_dnu,
-    dp_dnu_fd,
     localization_scan,
     nu_monotonicity,
     quenched_free_energy,
@@ -93,40 +92,37 @@ class TestAnnealedFreeEnergy:
 class TestDpDbeta:
     def test_beta_zero_both_formulas_give_nu(self):
         c = cfg(beta=0.0, n_envs=40, n_paths=100)
-        direct = dp_dbeta(c, "direct")
+        est = dp_dbeta(c)
+        direct = est["direct"]
         assert abs(direct.value - c.nu) <= 4.0 * direct.std_error
-        palm = dp_dbeta(c, "palm")
+        palm = est["palm"]
         # palm integrand reduces to nu times the field mass ~ nu + O(h)
         assert abs(palm.value - c.nu) <= 4.0 * palm.std_error + 0.05 * c.nu
 
     def test_direct_matches_finite_difference(self):
-        c = cfg(n_envs=30, n_paths=300)
-        direct = dp_dbeta(c, "direct")
-        fd = dp_dbeta(c, "finite_difference")
+        est = dp_dbeta(cfg(n_envs=30, n_paths=300))
+        direct, fd = est["direct"], est["finite_difference"]
         assert abs(direct.value - fd.value) <= 3.0 * combined_se(direct, fd) + 1e-4
 
     def test_direct_matches_palm_within_quadrature(self):
         c = cfg(n_envs=30, n_paths=300)
-        direct = dp_dbeta(c, "direct")
-        palm = dp_dbeta(c, "palm")
+        est = dp_dbeta(c)
+        direct, palm = est["direct"], est["palm"]
         allowance = 0.05 * c.nu * math.exp(c.beta)
         assert abs(direct.value - palm.value) <= \
             3.0 * combined_se(direct, palm) + allowance
-
-    def test_unknown_method(self):
-        with pytest.raises(InvalidParameterError):
-            dp_dbeta(cfg(), "adjoint")
 
 
 class TestDpDnu:
     def test_beta_zero_exact(self):
         est = dp_dnu(cfg(beta=0.0, n_envs=5, n_paths=40))
-        assert est.value == 0.0
-        assert est.std_error == 0.0
+        for form in ("field", "coupled_fd"):
+            assert est[form].value == 0.0
+            assert est[form].std_error == 0.0
 
     def test_envelope(self):
         c = cfg(beta=1.0, n_envs=30, n_paths=300)
-        est = dp_dnu(c)
+        est = dp_dnu(c)["field"]
         quad_slack = 0.05
         assert est.value >= c.beta * (1.0 - quad_slack) - 3.0 * est.std_error
         assert est.value <= annealed_rate(c.beta) * (1.0 + quad_slack) \
@@ -134,14 +130,14 @@ class TestDpDnu:
 
     def test_matches_coupled_difference(self):
         c = cfg(beta=1.0, n_envs=60, n_paths=400)
-        field_form = dp_dnu(c)
-        coupled = dp_dnu_fd(c)
+        est = dp_dnu(c)
+        field_form, coupled = est["field"], est["coupled_fd"]
         tol = 3.0 * combined_se(field_form, coupled) + 0.05 * annealed_rate(c.beta)
         assert abs(field_form.value - coupled.value) <= tol
 
     def test_eps_validation(self):
         with pytest.raises(InvalidParameterError):
-            dp_dnu_fd(cfg(), eps=2.0)
+            dp_dnu(cfg(), eps=2.0)
 
 
 class TestNuMonotonicity:

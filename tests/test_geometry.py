@@ -13,7 +13,6 @@ from poissonpolymer.geometry import (
     tube_indicator,
     unit_ball_radius,
 )
-from poissonpolymer.polymer import PolymerPath, TimeGrid
 
 
 class TestUnitBallRadius:
@@ -90,8 +89,7 @@ class TestBallOverlapVolume:
 
 class TestTubeIndicator:
     def _path_at_origin(self, d=2):
-        grid = TimeGrid(1.0, 4)
-        return PolymerPath(grid=grid, positions=np.zeros((5, d)))
+        return np.zeros((5, d))  # 4 steps
 
     def test_center_hit(self):
         assert tube_indicator(self._path_at_origin(), 0, [0.0, 0.0]) == 1

@@ -21,7 +21,6 @@ from poissonpolymer.geometry import unit_ball_radius
 from poissonpolymer.polymer import (
     FavouritePath,
     OccupancyField,
-    PolymerPath,
     TimeGrid,
     assert_two_to_one,
     build_ensemble,
@@ -42,18 +41,19 @@ R1 = unit_ball_radius(1)
 def constant_path_ensemble(xs, beta=0.0, t=2.0, n_steps=8, pad=1.0):
     """Ensemble of constant d=1 paths at the given positions, empty cloud."""
     grid = TimeGrid(t, n_steps)
-    paths = [PolymerPath(grid=grid, positions=np.full((n_steps + 1, 1), x))
-             for x in xs]
+    positions = np.repeat(np.asarray(xs, dtype=float)[:, np.newaxis, np.newaxis],
+                          n_steps + 1, axis=1)
     box = SpaceTimeBox(t_max=t, lo=(min(xs) - pad,), hi=(max(xs) + pad,))
     cloud = PointCloud(times=np.empty(0), coords=np.empty((0, 1)), box=box, nu=0.0)
-    return build_ensemble(paths, cloud, beta)
+    return build_ensemble(positions, grid, cloud, beta)
 
 
 class TestSamplePaths:
     def test_start_at_origin(self):
         grid = TimeGrid(1.0, 8)
-        for path in sample_paths(grid, 2, 5, substream(0, "paths", 0)):
-            assert np.all(path.positions[0] == 0.0)
+        paths = sample_paths(grid, 2, 5, substream(0, "paths", 0))
+        assert paths.shape == (5, 9, 2)
+        assert np.all(paths[:, 0, :] == 0.0)
 
     def test_invalid_count(self):
         with pytest.raises(InvalidParameterError):
@@ -63,7 +63,7 @@ class TestSamplePaths:
         t, n_rep = 1.5, 10_000
         grid = TimeGrid(t, 16)
         paths = sample_paths(grid, 2, n_rep, substream(1, "paths", 0))
-        finals = np.stack([p.positions[-1] for p in paths])
+        finals = paths[:, -1, :]
         se = t * math.sqrt(2.0 / (n_rep - 1))
         for coord in range(2):
             assert abs(finals[:, coord].var(ddof=1) - t) <= 4.0 * se
@@ -72,9 +72,7 @@ class TestSamplePaths:
         t, n_rep = 1.0, 4000
         coarse = sample_paths(TimeGrid(t, 8), 1, n_rep, substream(2, "paths", 0))
         fine = sample_paths(TimeGrid(t, 16), 1, n_rep, substream(2, "paths", 1))
-        a = np.array([p.positions[-1, 0] for p in coarse])
-        b = np.array([p.positions[-1, 0] for p in fine])
-        assert stats.ks_2samp(a, b).pvalue > 0.01
+        assert stats.ks_2samp(coarse[:, -1, 0], fine[:, -1, 0]).pvalue > 0.01
 
 
 class TestGibbsEnsemble:
@@ -98,11 +96,10 @@ class TestGibbsEnsemble:
 
     def test_single_path(self):
         grid = TimeGrid(1.0, 4)
-        path = PolymerPath(grid=grid, positions=np.zeros((5, 1)))
         box = SpaceTimeBox(t_max=1.0, lo=(-1.0,), hi=(1.0,))
         cloud = PointCloud(times=np.array([0.5, 0.7]),
                            coords=np.array([[0.1], [0.3]]), box=box, nu=1.0)
-        ens = build_ensemble([path], cloud, beta=0.7)
+        ens = build_ensemble(np.zeros((1, 5, 1)), grid, cloud, beta=0.7)
         assert ens.hamiltonians[0] == 2
         assert ens.normalized_weights[0] == 1.0
         assert ens.log_z_hat == pytest.approx(0.7 * 2, abs=1e-14)
@@ -115,12 +112,11 @@ class TestGibbsEnsemble:
 
     def test_window_violation_fails_loudly(self):
         grid = TimeGrid(1.0, 4)
-        path = PolymerPath(grid=grid, positions=np.zeros((5, 1)))
         tight = SpaceTimeBox(t_max=1.0, lo=(-0.3,), hi=(0.3,))
         cloud = PointCloud(times=np.empty(0), coords=np.empty((0, 1)),
                            box=tight, nu=1.0)
         with pytest.raises(WindowCoverageError):
-            build_ensemble([path], cloud, beta=0.0)
+            build_ensemble(np.zeros((1, 5, 1)), grid, cloud, beta=0.0)
 
 
 class TestOccupancyField:
@@ -289,15 +285,14 @@ class TestPalmIdentity:
         # e^{beta chi_i}; the new occupancy at (s, x) must equal
         # e^beta m / (1 + lambda m) computed from the original ensemble
         grid = TimeGrid(2.0, 16)
-        paths = sample_paths(grid, 1, 32, substream(77, "paths", 0))
-        positions = np.stack([p.positions for p in paths])
+        positions = sample_paths(grid, 1, 32, substream(77, "paths", 0))
         lo = (positions.min() - 1.0,)
         hi = (positions.max() + 1.0,)
         box = SpaceTimeBox(t_max=2.0, lo=lo, hi=hi)
         cloud = sample_poisson(box, 1.5, substream(77, "cloud", 0))
         beta = 0.8
         lam = math.expm1(beta)
-        ens = build_ensemble(paths, cloud, beta)
+        ens = build_ensemble(positions, grid, cloud, beta)
         rng = np.random.default_rng(5)
         for _ in range(10):
             s = rng.uniform(1e-6, 2.0)
@@ -305,7 +300,7 @@ class TestPalmIdentity:
             k = slab_indices(np.array([s]), 2.0, 16)[0]
             chi = (np.abs(positions[:, k, 0] - x) <= R1).astype(float)
             m = float(ens.normalized_weights @ chi)
-            palm_ens = build_ensemble(paths, add_palm_point(cloud, s, [x]), beta)
+            palm_ens = build_ensemble(positions, grid, add_palm_point(cloud, s, [x]), beta)
             occupancy_after = float(palm_ens.normalized_weights @ chi)
             expected = math.exp(beta) * m / (1.0 + lam * m)
             assert occupancy_after == pytest.approx(expected, abs=1e-12)
