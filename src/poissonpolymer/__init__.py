@@ -23,15 +23,11 @@ from .analytics import (
     curve_kernel,
     drift_gap_integrand,
     in_l2_region,
-    poisson_rate_function,
 )
 from .environment import (
     PointCloud,
     SpaceTimeBox,
-    add_palm_point,
-    cloud_to_csv,
     count_in_tube,
-    restrict,
     sample_poisson,
     superpose,
 )
@@ -47,7 +43,7 @@ from .estimators import (
     nu_monotonicity,
     quenched_free_energy,
 )
-from .geometry import BallGeometry, ball_overlap_volume, tube_indicator, unit_ball_radius
+from .geometry import unit_ball_radius
 from .polymer import (
     DeltaSets,
     FavouritePath,
@@ -61,8 +57,6 @@ from .polymer import (
     favourite_overlap,
     favourite_path,
     occupancy_field,
-    replica_overlap,
-    replica_overlap_pairwise,
     sample_paths,
     two_to_one_report,
 )

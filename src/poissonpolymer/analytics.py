@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import jv
 
 from .errors import (
@@ -32,7 +31,6 @@ from .geometry import unit_ball_radius
 
 __all__ = [
     "annealed_rate",
-    "poisson_rate_function",
     "critical_curve_exponent",
     "curve_kernel",
     "drift_gap_integrand",
@@ -52,13 +50,6 @@ __all__ = [
 def annealed_rate(beta):
     """e^beta - 1: the annealed free energy per unit intensity, in (-1, inf)."""
     return np.expm1(beta) if isinstance(beta, np.ndarray) else math.expm1(beta)
-
-
-def poisson_rate_function(u: float) -> float:
-    """Large-deviation rate u ln u - u + 1 of a mean-one Poisson count; zero iff u = 1."""
-    if u <= 0:
-        raise InvalidParameterError(f"rate function needs u > 0, got {u}")
-    return u * math.log(u) - u + 1.0
 
 
 # Taylor coefficients of the curve exponent at beta = 0, exact rationals:
@@ -184,10 +175,13 @@ def critical_beta_bounds(nu: float, crit: CriticalPoint,
         raise InvalidParameterError(f"nu must be positive, got {nu}")
     if alpha <= 0:
         raise InvalidParameterError(f"alpha must be positive, got {alpha}")
-    c1 = crit.c1
     ratio = crit.nu0 / nu
-    a_exp = ratio ** (1.0 / alpha)
-    sqrt_exp = ratio ** 0.5
+
+    def edge(exponent: float, sign: float) -> float:
+        # computed only once the case's hypotheses hold: ratio ** (1 / alpha)
+        # overflows for the tiny alpha they reject
+        return math.log1p(sign * crit.c1 * ratio ** exponent)
+
     degenerate = alpha == 2.0
     if crit.sign == "plus":
         if alpha < 1.0:
@@ -197,25 +191,21 @@ def critical_beta_bounds(nu: float, crit: CriticalPoint,
                 raise HypothesisError(
                     "alpha <= alpha(beta0)",
                     f"case a1 needs alpha <= {critical_curve_exponent(crit.beta0):.6g}")
-            return BetaCriticalBounds(math.log1p(c1 * a_exp),
-                                      math.log1p(c1 * sqrt_exp), "a1")
+            return BetaCriticalBounds(edge(1.0 / alpha, 1.0), edge(0.5, 1.0), "a1")
         if alpha > 2.0:
             raise HypothesisError("alpha <= 2", "case a2 needs alpha <= 2")
-        return BetaCriticalBounds(math.log1p(c1 * sqrt_exp),
-                                  math.log1p(c1 * a_exp), "a2")
+        return BetaCriticalBounds(edge(0.5, 1.0), edge(1.0 / alpha, 1.0), "a2")
     # minus branch: bounds are ln(1 - c1 * ratio^exponent)
     alpha0 = critical_curve_exponent(crit.beta0)
     if not degenerate and alpha < alpha0:
         raise HypothesisError("alpha >= alpha(beta0)",
                               f"minus-branch sandwich needs alpha >= {alpha0:.6g}")
     if nu >= crit.nu0:
-        return BetaCriticalBounds(math.log1p(-c1 * a_exp),
-                                  math.log1p(-c1 * sqrt_exp), "b1")
+        return BetaCriticalBounds(edge(1.0 / alpha, -1.0), edge(0.5, -1.0), "b1")
     if nu <= crit.nu0 * crit.c2 ** 2:
         raise HypothesisError("nu > nu0 * c2^2",
                               f"case b2 needs nu > {crit.nu0 * crit.c2 ** 2:.6g}")
-    return BetaCriticalBounds(math.log1p(-c1 * sqrt_exp),
-                              math.log1p(-c1 * a_exp), "b2")
+    return BetaCriticalBounds(edge(0.5, -1.0), edge(1.0 / alpha, -1.0), "b2")
 
 
 def classify_phase(beta: float, nu: float, crit: CriticalPoint,
@@ -237,24 +227,29 @@ def classify_phase(beta: float, nu: float, crit: CriticalPoint,
             f"query beta={beta} does not match the {crit.sign} branch")
     if alpha <= 0:
         raise InvalidParameterError(f"alpha must be positive, got {alpha}")
+    plus = crit.sign == "plus"
+    # the admissibility check comes first: lam ** alpha overflows for the
+    # large alpha it rejects
+    if plus:
+        limit = critical_curve_exponent(max(beta, crit.beta0))
+        if alpha > limit:
+            raise HypothesisError("alpha <= alpha(max(beta, beta0))",
+                                  f"plus-branch query needs alpha <= {limit:.6g}")
+    else:
+        limit = critical_curve_exponent(min(beta, crit.beta0))
+        if alpha < limit:
+            raise HypothesisError("alpha >= alpha(min(beta, beta0))",
+                                  f"minus-branch query needs alpha >= {limit:.6g}")
     lam = abs(math.expm1(beta))
     lam0 = abs(math.expm1(crit.beta0))
     sq = nu * lam ** 2
     sq0 = crit.nu0 * lam0 ** 2
     pw = nu * lam ** alpha
     pw0 = crit.nu0 * lam0 ** alpha
-    if crit.sign == "plus":
-        limit = critical_curve_exponent(max(beta, crit.beta0))
-        if alpha > limit:
-            raise HypothesisError("alpha <= alpha(max(beta, beta0))",
-                                  f"plus-branch query needs alpha <= {limit:.6g}")
+    if plus:
         localized = (nu > crit.nu0 and sq > sq0) or (beta > crit.beta0 and pw > pw0)
         diffuse = (beta <= crit.beta0 and pw <= pw0) or (nu <= crit.nu0 and sq <= sq0)
     else:
-        limit = critical_curve_exponent(min(beta, crit.beta0))
-        if alpha < limit:
-            raise HypothesisError("alpha >= alpha(min(beta, beta0))",
-                                  f"minus-branch query needs alpha >= {limit:.6g}")
         localized = (nu > crit.nu0 and pw > pw0) or (beta < crit.beta0 and sq > sq0)
         diffuse = (beta >= crit.beta0 and sq <= sq0) or (beta < crit.beta0 and pw <= pw0)
     if localized and diffuse:
@@ -286,6 +281,9 @@ def bessel_zero(d: int) -> float:
     The root is isolated by a sign scan with step 0.01 starting just above
     zero, then refined by bracketed root-finding to 1e-12.
     """
+    # imported here: scipy.optimize would double the CLI's start-up time
+    from scipy.optimize import brentq
+
     if d < 1 or int(d) != d:
         raise InvalidParameterError(f"dimension must be a positive integer, got {d}")
     order = (d - 4) / 2.0

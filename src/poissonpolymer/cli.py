@@ -61,6 +61,10 @@ CONFIG_KEYS = {
 MODES = ("quenched", "annealed", "localization", "dp-dbeta", "dp-dnu")
 CSV_HEADER = "mode,d,beta,nu,t,n_steps,M,K,h,value,std_error,ess_min,observable"
 
+# Largest |beta| the analytic command accepts: (e^beta - 1)^2, which the
+# closed forms square, leaves the double range just above |beta| = 354.
+BETA_LIMIT = 350.0
+
 STREAM_RULE = ("k1=splitmix64(seed); k2=splitmix64(k1 xor fnv1a64(tag)); "
                "k3=splitmix64(k2 xor index); philox4x64 key="
                "(k3, splitmix64(k3 xor 0x9E3779B97F4A7C15))")
@@ -248,7 +252,13 @@ def _write_outputs(out_dir: Path, rows: list[dict], config_text: str,
 
 def _load_config_text(args) -> str:
     if args.from_manifest:
-        manifest = json.loads(Path(args.from_manifest).read_text())
+        try:
+            manifest = json.loads(Path(args.from_manifest).read_text())
+        except json.JSONDecodeError:
+            manifest = None
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("config_text"), str):
+            raise ConfigError(f"manifest {args.from_manifest} is not a JSON object "
+                              "with a string key 'config_text'")
         return manifest["config_text"]
     if args.config is None:
         raise ConfigError("either a config file or --from-manifest is required")
@@ -271,14 +281,35 @@ def _cmd_experiment(args, sweep: bool) -> int:
     return 0
 
 
-def _linspace_arg(text: str) -> list[float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("grid must be 'start,stop,count'")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 2:
-        return [start]
-    return [start + (stop - start) * i / (count - 1) for i in range(count)]
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _coupling(text: str) -> float:
+    value = _finite_float(text)
+    if abs(value) > BETA_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"coupling must lie in [-{BETA_LIMIT:g}, {BETA_LIMIT:g}], got {text!r}")
+    return value
+
+
+def _linspace(parse):
+    """Argument type for 'start,stop,count' grids whose ends ``parse`` checks."""
+    def grid(text: str) -> list[float]:
+        parts = text.split(",")
+        if len(parts) != 3:
+            raise argparse.ArgumentTypeError("grid must be 'start,stop,count'")
+        start, stop, count = parse(parts[0]), parse(parts[1]), int(parts[2])
+        if count < 2:
+            return [start]
+        return [start + (stop - start) * i / (count - 1) for i in range(count)]
+    return grid
 
 
 def _cmd_analytic(args) -> int:
@@ -342,49 +373,49 @@ def build_parser() -> argparse.ArgumentParser:
     forms = analytic.add_subparsers(dest="closed_form", required=True)
 
     p_lambda = forms.add_parser("lambda", help="annealed rate e^beta - 1")
-    p_lambda.add_argument("--beta", type=float, default=0.0)
-    p_lambda.add_argument("--grid", type=_linspace_arg, default=None,
+    p_lambda.add_argument("--beta", type=_coupling, default=0.0)
+    p_lambda.add_argument("--grid", type=_linspace(_coupling), default=None,
                           metavar="START,STOP,N")
 
     p_alpha = forms.add_parser("alpha", help="critical-curve exponent")
-    p_alpha.add_argument("--beta", type=float, default=0.0)
-    p_alpha.add_argument("--grid", type=_linspace_arg, default=None,
+    p_alpha.add_argument("--beta", type=_coupling, default=0.0)
+    p_alpha.add_argument("--grid", type=_linspace(_coupling), default=None,
                          metavar="START,STOP,N")
 
     p_h = forms.add_parser("h-alpha", help="curve monotonicity kernel")
-    p_h.add_argument("--alpha", type=float, required=True)
-    p_h.add_argument("--u", type=float, default=0.0)
-    p_h.add_argument("--u-grid", type=_linspace_arg, default=None,
+    p_h.add_argument("--alpha", type=_finite_float, required=True)
+    p_h.add_argument("--u", type=_finite_float, default=0.0)
+    p_h.add_argument("--u-grid", type=_linspace(_finite_float), default=None,
                      metavar="START,STOP,N")
 
     p_pp = forms.add_parser("psi-phi", help="derivative-gap integrands")
-    p_pp.add_argument("--beta", type=float, required=True)
-    p_pp.add_argument("--u", type=float, default=0.0)
-    p_pp.add_argument("--u-grid", type=_linspace_arg, default=None,
+    p_pp.add_argument("--beta", type=_coupling, required=True)
+    p_pp.add_argument("--u", type=_finite_float, default=0.0)
+    p_pp.add_argument("--u-grid", type=_linspace(_finite_float), default=None,
                       metavar="START,STOP,N")
 
     p_bc = forms.add_parser("bc-bounds", help="critical coupling sandwich")
     p_bc.add_argument("--branch", choices=("plus", "minus"), required=True)
-    p_bc.add_argument("--beta0", type=float, required=True)
-    p_bc.add_argument("--nu0", type=float, required=True)
-    p_bc.add_argument("--alpha", type=float, required=True)
-    p_bc.add_argument("--nu", type=float, required=True)
+    p_bc.add_argument("--beta0", type=_coupling, required=True)
+    p_bc.add_argument("--nu0", type=_finite_float, required=True)
+    p_bc.add_argument("--alpha", type=_finite_float, required=True)
+    p_bc.add_argument("--nu", type=_finite_float, required=True)
 
     p_cl = forms.add_parser("classify", help="phase of a (beta, nu) query")
     p_cl.add_argument("--branch", choices=("plus", "minus"), required=True)
-    p_cl.add_argument("--beta0", type=float, required=True)
-    p_cl.add_argument("--nu0", type=float, required=True)
-    p_cl.add_argument("--alpha", type=float, required=True)
-    p_cl.add_argument("--beta", type=float, required=True)
-    p_cl.add_argument("--nu", type=float, required=True)
+    p_cl.add_argument("--beta0", type=_coupling, required=True)
+    p_cl.add_argument("--nu0", type=_finite_float, required=True)
+    p_cl.add_argument("--alpha", type=_finite_float, required=True)
+    p_cl.add_argument("--beta", type=_coupling, required=True)
+    p_cl.add_argument("--nu", type=_finite_float, required=True)
 
     p_bessel = forms.add_parser("bessel", help="critical-intensity bound table")
     p_bessel.add_argument("--d", type=int, required=True)
 
     p_l2 = forms.add_parser("l2", help="second-moment region test")
-    p_l2.add_argument("--beta", type=float, required=True)
-    p_l2.add_argument("--nu", type=float, required=True)
-    p_l2.add_argument("--a-l2", type=float, required=True)
+    p_l2.add_argument("--beta", type=_coupling, required=True)
+    p_l2.add_argument("--nu", type=_finite_float, required=True)
+    p_l2.add_argument("--a-l2", type=_finite_float, required=True)
 
     for name, help_text in (("simulate", "run one experiment cell"),
                             ("sweep", "run a parameter grid")):

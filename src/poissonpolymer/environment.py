@@ -15,7 +15,6 @@ at the left grid point), which keeps the discretized tube volume exactly
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,14 +26,16 @@ __all__ = [
     "SpaceTimeBox",
     "PointCloud",
     "sample_poisson",
-    "restrict",
     "count_in_tube",
     "batch_tube_counts",
-    "add_palm_point",
     "superpose",
     "slab_indices",
-    "cloud_to_csv",
 ]
+
+# One chunk's (M, chunk, d) float64 difference array in ``batch_tube_counts``
+# holds at most this many elements (512 KiB): a gather of every live point at
+# once would cost M * n_points * d doubles, hundreds of MB at nu = 100.
+_CHUNK_ELEMENTS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -68,14 +69,6 @@ class SpaceTimeBox:
     @property
     def volume(self) -> float:
         return self.t_max * self.space_volume
-
-    def contains(self, s: float, x) -> bool:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return (
-            0.0 < s <= self.t_max
-            and bool(np.all(x >= np.asarray(self.lo)))
-            and bool(np.all(x <= np.asarray(self.hi)))
-        )
 
 
 def _canonical_order(times: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -129,16 +122,6 @@ def sample_poisson(box: SpaceTimeBox, nu: float, rng: np.random.Generator) -> Po
     return PointCloud(times=times, coords=coords, box=box, nu=float(nu))
 
 
-def restrict(cloud: PointCloud, t: float) -> PointCloud:
-    """Keep exactly the points with s <= t."""
-    if not (0.0 < t <= cloud.box.t_max):
-        raise InvalidParameterError(
-            f"restriction time {t} outside (0, {cloud.box.t_max}]")
-    keep = cloud.times <= t
-    return PointCloud(times=cloud.times[keep], coords=cloud.coords[keep],
-                      box=cloud.box, nu=cloud.nu)
-
-
 def slab_indices(times: np.ndarray, t: float, n_steps: int) -> np.ndarray:
     """Map point times in (0, t] to their slab index in 0..n_steps-1."""
     dt = t / n_steps
@@ -156,36 +139,21 @@ def batch_tube_counts(cloud: PointCloud, positions: np.ndarray,
                       t: float, n_steps: int) -> np.ndarray:
     """Tube counts for a stack of paths, shape (M, n_steps+1, d) -> (M,).
 
-    Points beyond the path horizon t are ignored; points are grouped by
-    slab so each group is a single vectorized ball test.
+    Points beyond the path horizon t are ignored; every live point is tested
+    against each path's position at the point's slab, a chunk of points at a
+    time.
     """
-    n_paths = positions.shape[0]
+    n_paths, _, d = positions.shape
     counts = np.zeros(n_paths, dtype=np.int64)
-    if cloud.n_points == 0:
-        return counts
     live = cloud.times <= t
-    if not np.any(live):
-        return counts
-    times, coords = cloud.times[live], cloud.coords[live]
-    ks = slab_indices(times, t, n_steps)
-    r2 = unit_ball_radius(positions.shape[2]) ** 2
-    order = np.argsort(ks, kind="stable")
-    ks, coords = ks[order], coords[order]
-    slabs, starts = np.unique(ks, return_index=True)
-    for k, chunk in zip(slabs, np.split(coords, starts[1:])):
-        diff = positions[:, k, :, np.newaxis] - chunk.T[np.newaxis, :, :]
-        counts += (np.einsum("mdp,mdp->mp", diff, diff) <= r2).sum(axis=1)
+    ks = slab_indices(cloud.times[live], t, n_steps)
+    coords = cloud.coords[live]
+    r2 = unit_ball_radius(d) ** 2
+    chunk = max(1, _CHUNK_ELEMENTS // (n_paths * d))
+    for start in range(0, len(ks), chunk):
+        diff = positions[:, ks[start:start + chunk], :] - coords[start:start + chunk]
+        counts += (np.einsum("mpd,mpd->mp", diff, diff) <= r2).sum(axis=1)
     return counts
-
-
-def add_palm_point(cloud: PointCloud, s: float, x) -> PointCloud:
-    """Cloud with one extra point at (s, x); duplicates keep multiplicity."""
-    if not cloud.box.contains(s, x):
-        raise InvalidParameterError(f"palm point ({s}, {x}) outside the box")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    times = np.concatenate([cloud.times, [float(s)]])
-    coords = np.concatenate([cloud.coords, x[np.newaxis, :]])
-    return PointCloud(times=times, coords=coords, box=cloud.box, nu=cloud.nu)
 
 
 def superpose(cloud_a: PointCloud, cloud_b: PointCloud) -> PointCloud:
@@ -195,13 +163,3 @@ def superpose(cloud_a: PointCloud, cloud_b: PointCloud) -> PointCloud:
     return PointCloud(times=np.concatenate([cloud_a.times, cloud_b.times]),
                       coords=np.concatenate([cloud_a.coords, cloud_b.coords]),
                       box=cloud_a.box, nu=cloud_a.nu + cloud_b.nu)
-
-
-def cloud_to_csv(cloud: PointCloud) -> str:
-    """CSV dump: header ``s,x_1,...,x_d``, full double precision."""
-    buf = io.StringIO()
-    buf.write("s," + ",".join(f"x_{j + 1}" for j in range(cloud.box.d)) + "\n")
-    for s, x in zip(cloud.times, cloud.coords):
-        buf.write(format(s, ".17g") + ","
-                  + ",".join(format(v, ".17g") for v in x) + "\n")
-    return buf.getvalue()

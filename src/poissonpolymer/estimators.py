@@ -35,11 +35,9 @@ from .polymer import (
     assert_two_to_one,
     bounding_box_for,
     build_ensemble,
-    delta_sets,
     favourite_overlap,
     favourite_path,
     occupancy_field,
-    replica_overlap,
     sample_paths,
 )
 from .streams import substream
@@ -165,10 +163,10 @@ def _over_environments(cfg: ExperimentConfig, reduce, nus=None, extra_nu=None):
 
 
 def _checked_field(cfg: ExperimentConfig, i: int, ens: GibbsEnsemble):
-    """Occupancy field of replicate i, its grid inequalities re-asserted."""
+    """Occupancy field of replicate i and the report of its re-asserted grid
+    inequalities, which carries the field's overlaps and delta sets."""
     fld = occupancy_field(ens, cfg.bin_width)
-    assert_two_to_one(ens, fld, cfg.delta, seed=cfg.seed, replicate=i)
-    return fld
+    return fld, assert_two_to_one(ens, fld, cfg.delta, seed=cfg.seed, replicate=i)
 
 
 def _log_z_jackknife(ensemble: GibbsEnsemble) -> tuple[float, float]:
@@ -237,7 +235,7 @@ def dp_dbeta(cfg: ExperimentConfig, eps: float = 0.05) -> dict[str, EstimateWith
     lam = math.expm1(cfg.beta)
 
     def reduce(i, ens):
-        fld = _checked_field(cfg, i, ens)
+        fld, _ = _checked_field(cfg, i, ens)
         integral = float(np.mean(
             np.sum(fld.values / (1.0 + lam * fld.values), axis=1)) * fld.cell_volume)
         return (float(ens.normalized_weights @ ens.hamiltonians) / cfg.t,
@@ -265,7 +263,7 @@ def dp_dnu(cfg: ExperimentConfig, eps: float | None = None) -> dict[str, Estimat
     lam = math.expm1(cfg.beta)
 
     def reduce(i, ens, ens_lo, ens_hi):
-        fld = _checked_field(cfg, i, ens)
+        fld, _ = _checked_field(cfg, i, ens)
         return (float(np.mean(np.sum(np.log1p(lam * fld.values), axis=1))
                       * fld.cell_volume),
                 (ens_hi.log_z_hat - ens_lo.log_z_hat) / (2.0 * eps * cfg.t))
@@ -320,9 +318,9 @@ class ScanCell:
 
 def _scan_cell(cfg: ExperimentConfig) -> ScanCell:
     def reduce(i, ens):
-        fld = _checked_field(cfg, i, ens)
-        ds = delta_sets(fld, cfg.delta)
-        return (replica_overlap(ens, fld), favourite_overlap(ens, favourite_path(fld)),
+        fld, report = _checked_field(cfg, i, ens)
+        ds = report.deltas
+        return (report.replica, favourite_overlap(ens, favourite_path(fld)),
                 ds.middle_measure, ds.negligible_in_tube, ds.predominant_out_of_tube)
 
     (r2, r_star, middles, negs, preds), ess_min = _over_environments(cfg, reduce)

@@ -23,7 +23,7 @@ from scipy.special import logsumexp
 
 from .environment import PointCloud, batch_tube_counts
 from .errors import InvalidParameterError, InvariantViolationError, WindowCoverageError
-from .geometry import ball_overlap_volume, unit_ball_radius
+from .geometry import unit_ball_radius
 
 __all__ = [
     "TimeGrid",
@@ -36,8 +36,6 @@ __all__ = [
     "bounding_box_for",
     "build_ensemble",
     "occupancy_field",
-    "replica_overlap",
-    "replica_overlap_pairwise",
     "favourite_path",
     "favourite_overlap",
     "delta_sets",
@@ -126,10 +124,6 @@ class GibbsEnsemble:
         return self.positions.shape[2]
 
     @property
-    def z_hat(self) -> float:
-        return float(np.exp(self.log_z_hat))
-
-    @property
     def ess(self) -> float:
         """Effective sample size 1 / sum w_i^2 of the normalized weights."""
         return float(1.0 / np.sum(self.normalized_weights ** 2))
@@ -175,12 +169,6 @@ class OccupancyField:
     def cell_volume(self) -> float:
         return self.h ** self.ensemble.d
 
-    def gap_mass(self) -> float:
-        """Time-averaged cell sum of m (1 - m); the exact grid analogue of
-        one minus the replica overlap when the per-slab mass is 1."""
-        return float(np.mean(np.sum(self.values * (1.0 - self.values), axis=1))
-                     * self.cell_volume)
-
 
 def _bin_centers(box, h: float) -> np.ndarray:
     axes = []
@@ -220,27 +208,6 @@ def occupancy_field(ensemble: GibbsEnsemble, h: float) -> OccupancyField:
 def _check_field(ensemble: GibbsEnsemble, fld: OccupancyField):
     if fld.ensemble is not ensemble:
         raise InvalidParameterError("field was not built from this ensemble")
-
-
-def replica_overlap(ensemble: GibbsEnsemble, fld: OccupancyField) -> float:
-    """Grid two-replica overlap: time-averaged cell sum of m(k, b)^2."""
-    _check_field(ensemble, fld)
-    return float(np.mean(np.sum(fld.values ** 2, axis=1)) * fld.cell_volume)
-
-
-def replica_overlap_pairwise(ensemble: GibbsEnsemble) -> float:
-    """Exact two-replica overlap sum_{i,j} w_i w_j of time-averaged
-    ball-intersection volumes; the continuum oracle for the grid form."""
-    w = ensemble.normalized_weights
-    pos = ensemble.positions[:, :-1, :]  # slab representatives 0..n-1
-    m = ensemble.n_paths
-    total = 0.0
-    for i in range(m):
-        diff = pos[i] - pos
-        rho = np.sqrt(np.sum(diff * diff, axis=2))
-        vols = ball_overlap_volume(ensemble.d, rho).mean(axis=1)
-        total += w[i] * float(w @ vols)
-    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,7 +308,7 @@ def two_to_one_report(ensemble: GibbsEnsemble, fld: OccupancyField,
     maxima = m.max(axis=1)
     r2 = float(np.mean(np.sum(m * m, axis=1)) * cell)
     r_star = float(np.mean(maxima))
-    gap = fld.gap_mass()
+    gap = float(np.mean(np.sum(m * (1.0 - m), axis=1)) * cell)
     mass_defect = float(np.mean(np.abs(1.0 - fld.time_mass)))
     ds = delta_sets(fld, delta)
     slack_right = float(np.mean(maxima * fld.time_mass)) - r2

@@ -20,7 +20,6 @@ from poissonpolymer.analytics import (
     curve_kernel,
     drift_gap_integrand,
     in_l2_region,
-    poisson_rate_function,
 )
 from poissonpolymer.errors import (
     HypothesisError,
@@ -47,23 +46,6 @@ class TestAnnealedRate:
     def test_lower_limit(self):
         assert annealed_rate(-30.0) == pytest.approx(-1.0, abs=1e-12)
         assert annealed_rate(-30.0) > -1.0
-
-
-class TestPoissonRateFunction:
-    def test_zero_at_one(self):
-        assert poisson_rate_function(1.0) == 0.0
-
-    def test_at_e(self):
-        assert poisson_rate_function(math.e) == pytest.approx(1.0, abs=1e-12)
-
-    def test_quadratic_near_one(self):
-        for gamma in (1e-2, 1e-3, 1e-4):
-            ratio = poisson_rate_function(1.0 + gamma) / gamma ** 2
-            assert ratio == pytest.approx(0.5, abs=gamma)
-
-    def test_domain(self):
-        with pytest.raises(InvalidParameterError):
-            poisson_rate_function(0.0)
 
 
 class TestCurveExponent:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -127,6 +130,14 @@ class TestSimulate:
     def test_missing_config_exit_code_2(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("text", ["{}", "[1, 2]", "not json", '{"config_text": 5}'],
+                             ids=["empty-object", "array", "invalid-json", "non-string"])
+    def test_malformed_manifest_exit_code_2(self, tmp_path, capsys, text):
+        manifest = write_config(tmp_path, text, name="manifest.json")
+        assert main(["simulate", "--from-manifest", str(manifest),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "'config_text'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["n_steps", "bin_width"])
     def test_zero_is_rejected_not_defaulted(self, tmp_path, capsys, key):
         config = write_config(tmp_path, MINIMAL + f"{key} = 0\n")
@@ -249,7 +260,48 @@ class TestAnalytic:
         assert code == 2
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["lambda", "--beta", "1000"], "--beta"),
+        (["lambda", "--grid", "0,1000,3"], "--grid"),
+        (["alpha", "--beta", "1000"], "--beta"),
+        (["alpha", "--beta", "-1000"], "--beta"),
+        (["alpha", "--beta", "nan"], "--beta"),
+        (["psi-phi", "--beta", "1000", "--u", "0.5"], "--beta"),
+        (["psi-phi", "--beta", "1", "--u", "inf"], "--u"),
+        (["classify", "--branch", "plus", "--beta0", "0.8", "--nu0", "1",
+          "--alpha", "1", "--beta", "1000", "--nu", "1"], "--beta"),
+        (["bc-bounds", "--branch", "plus", "--beta0", "0.6931", "--nu0", "1",
+          "--alpha", "1", "--nu", "nan"], "--nu"),
+        (["l2", "--beta", "0", "--nu", "1", "--a-l2", "inf"], "--a-l2"),
+    ], ids=["lambda-beta-big", "lambda-grid-big", "alpha-beta-big", "alpha-beta-negative",
+            "alpha-beta-nan", "psi-phi-beta-big", "psi-phi-u-inf", "classify-beta-big",
+            "bc-bounds-nu-nan", "l2-a-l2-inf"])
+    def test_bad_argument_names_flag(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["analytic", *argv])
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--branch", "plus", "--beta0", "1", "--nu0", "1",
+         "--alpha", "5", "--beta", "300", "--nu", "1"],
+        ["bc-bounds", "--branch", "minus", "--beta0", "-1", "--nu0", "1",
+         "--alpha", "1e-300", "--nu", "1e-3"],
+    ], ids=["classify", "bc-bounds"])
+    def test_alpha_hypothesis_checked_before_power(self, capsys, argv):
+        # lam ** alpha and ratio ** (1 / alpha) overflow for these alphas
+        assert main(["analytic", *argv]) == 2
+        assert "alpha" in capsys.readouterr().err
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["analytic", "bessel"])  # missing --d
         assert exc.value.code == 2
+
+
+def test_cli_import_skips_scipy_optimize():
+    # scipy.optimize would double a fresh interpreter's start-up time
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = ("import sys, poissonpolymer.cli; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

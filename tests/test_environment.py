@@ -4,20 +4,20 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import poissonpolymer.environment as environment
+from oracles import add_palm_point, tube_indicator
 from poissonpolymer.environment import (
     PointCloud,
     SpaceTimeBox,
-    add_palm_point,
-    cloud_to_csv,
+    batch_tube_counts,
     count_in_tube,
-    restrict,
     sample_poisson,
     slab_indices,
     superpose,
 )
 from poissonpolymer.errors import IncompatibleBoxError, InvalidParameterError
 from poissonpolymer.geometry import unit_ball_radius
-from poissonpolymer.polymer import TimeGrid, sample_paths
+from poissonpolymer.polymer import TimeGrid, bounding_box_for, sample_paths
 from poissonpolymer.streams import substream
 
 BOX1 = SpaceTimeBox(t_max=2.0, lo=(-1.5,), hi=(1.5,))
@@ -69,36 +69,6 @@ class TestSampling:
         assert np.all(cloud.coords >= BOX1.lo[0])
         assert np.all(cloud.coords <= BOX1.hi[0])
         assert np.all(np.diff(cloud.times) >= 0)
-
-
-class TestRestrict:
-    def test_identity_at_t_max(self):
-        cloud = sample_poisson(BOX1, 3.0, substream(1, "cloud", 0))
-        same = restrict(cloud, BOX1.t_max)
-        assert np.array_equal(same.times, cloud.times)
-
-    def test_before_first_point(self):
-        cloud = cloud_from_points([(1.0, 0.2), (1.5, -0.3)])
-        assert restrict(cloud, 0.5).n_points == 0
-
-    def test_mixed(self):
-        cloud = cloud_from_points([(0.5, 0.1), (1.5, 0.4)])
-        kept = restrict(cloud, 1.0)
-        assert kept.n_points == 1 and kept.times[0] == 0.5
-
-    def test_composition(self):
-        cloud = sample_poisson(BOX1, 4.0, substream(2, "cloud", 0))
-        for t1, t2 in [(1.5, 0.7), (0.7, 1.5), (1.0, 1.0)]:
-            twice = restrict(restrict(cloud, t1), t2)
-            once = restrict(cloud, min(t1, t2))
-            assert np.array_equal(twice.times, once.times)
-            assert np.array_equal(twice.coords, once.coords)
-
-    def test_out_of_range(self):
-        cloud = sample_poisson(BOX1, 1.0, substream(3, "cloud", 0))
-        for bad in (0.0, -1.0, BOX1.t_max + 0.1):
-            with pytest.raises(InvalidParameterError):
-                restrict(cloud, bad)
 
 
 class TestCountInTube:
@@ -162,6 +132,53 @@ class TestCountInTube:
         assert abs(counts.mean() - target) <= 4.0 * math.sqrt(target / n_rep)
         se_var = math.sqrt((3.0 * target ** 2 + target - target ** 2) / n_rep)
         assert abs(counts.var(ddof=1) - target) <= 4.0 * se_var
+
+
+class TestBatchTubeCounts:
+    @staticmethod
+    def brute_force(cloud, positions, t, n_steps):
+        counts = np.zeros(positions.shape[0], dtype=np.int64)
+        for m, path in enumerate(positions):
+            for s, x in zip(cloud.times, cloud.coords):
+                if s <= t:
+                    k = slab_indices(np.array([s]), t, n_steps)[0]
+                    counts[m] += tube_indicator(path, k, x)
+        return counts
+
+    @staticmethod
+    def paths_and_box(d, n_paths, t, n_steps, t_max, seed):
+        positions = sample_paths(TimeGrid(t, n_steps), d, n_paths,
+                                 substream(seed, "paths", 0))
+        lo, hi = bounding_box_for(positions, t)
+        return positions, SpaceTimeBox(t_max=t_max, lo=lo, hi=hi)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_pairwise_loop(self, d):
+        # t_max beyond the horizon t: the late points must be ignored
+        t, n_steps = 1.0, 8
+        positions, box = self.paths_and_box(d, 5, t, n_steps, 1.5, seed=50 + d)
+        cloud = sample_poisson(box, 6.0, substream(50 + d, "cloud", 0))
+        assert np.any(cloud.times > t)
+        expected = self.brute_force(cloud, positions, t, n_steps)
+        assert expected.sum() > 0
+        assert np.array_equal(batch_tube_counts(cloud, positions, t, n_steps), expected)
+
+    def test_empty_cloud(self):
+        positions, box = self.paths_and_box(2, 4, 1.0, 8, 1.0, seed=55)
+        empty = PointCloud(times=np.empty(0), coords=np.empty((0, 2)), box=box, nu=0.0)
+        counts = batch_tube_counts(empty, positions, 1.0, 8)
+        assert counts.dtype == np.int64 and np.array_equal(counts, np.zeros(4))
+
+    def test_many_chunks(self, monkeypatch):
+        # a chunk of 6 points for 4 paths in d = 2: the loop runs several
+        # times and the last chunk is partial
+        monkeypatch.setattr(environment, "_CHUNK_ELEMENTS", 48)
+        t, n_steps = 1.0, 8
+        positions, box = self.paths_and_box(2, 4, t, n_steps, t, seed=56)
+        cloud = sample_poisson(box, 8.0, substream(56, "cloud", 0))
+        assert cloud.n_points > 3 * 6 and cloud.n_points % 6 != 0
+        expected = self.brute_force(cloud, positions, t, n_steps)
+        assert np.array_equal(batch_tube_counts(cloud, positions, t, n_steps), expected)
 
 
 class TestPalmPoint:
@@ -250,19 +267,3 @@ class TestSuperpose:
         exp_p[-1] += acc_e
         result = stats.chisquare(obs_p, f_exp=np.array(exp_p) * (sum(obs_p) / sum(exp_p)))
         assert result.pvalue > 0.01
-
-
-class TestCsvDump:
-    def test_header_and_precision(self):
-        cloud = cloud_from_points([(1.0 / 3.0, math.pi / 7.0)])
-        text = cloud_to_csv(cloud)
-        lines = text.strip().split("\n")
-        assert lines[0] == "s,x_1"
-        s, x = (float(v) for v in lines[1].split(","))
-        assert s == 1.0 / 3.0 and x == math.pi / 7.0
-
-    def test_multidim_header(self):
-        box = SpaceTimeBox(t_max=1.0, lo=(-1.0, -1.0), hi=(1.0, 1.0))
-        cloud = PointCloud(times=np.array([0.5]), coords=np.array([[0.1, 0.2]]),
-                           box=box, nu=1.0)
-        assert cloud_to_csv(cloud).split("\n")[0] == "s,x_1,x_2"

@@ -5,13 +5,8 @@ import pytest
 from scipy import stats
 
 from conftest import random_ensemble
-from poissonpolymer.environment import (
-    PointCloud,
-    SpaceTimeBox,
-    add_palm_point,
-    sample_poisson,
-    slab_indices,
-)
+from oracles import add_palm_point, replica_overlap_pairwise
+from poissonpolymer.environment import PointCloud, SpaceTimeBox, sample_poisson, slab_indices
 from poissonpolymer.errors import (
     InvalidParameterError,
     InvariantViolationError,
@@ -28,8 +23,6 @@ from poissonpolymer.polymer import (
     favourite_overlap,
     favourite_path,
     occupancy_field,
-    replica_overlap,
-    replica_overlap_pairwise,
     sample_paths,
     two_to_one_report,
 )
@@ -86,13 +79,12 @@ class TestGibbsEnsemble:
         ens, _ = random_ensemble(seed=3, beta=0.0)
         assert np.allclose(ens.normalized_weights, 1.0 / ens.n_paths)
         assert ens.log_z_hat == pytest.approx(0.0, abs=1e-14)
-        assert ens.z_hat == pytest.approx(1.0, abs=1e-14)
         assert ens.ess == pytest.approx(ens.n_paths, rel=1e-12)
 
     def test_empty_cloud(self):
         ens = constant_path_ensemble([0.0, 0.4, -0.2], beta=2.5)
         assert np.all(ens.hamiltonians == 0)
-        assert ens.z_hat == pytest.approx(1.0, abs=1e-14)
+        assert ens.log_z_hat == pytest.approx(0.0, abs=1e-14)
 
     def test_single_path(self):
         grid = TimeGrid(1.0, 4)
@@ -147,7 +139,7 @@ class TestOccupancyField:
         ens_a, fld_a = random_ensemble(seed=5)
         ens_b, _ = random_ensemble(seed=6)
         with pytest.raises(InvalidParameterError):
-            replica_overlap(ens_b, fld_a)
+            two_to_one_report(ens_b, fld_a, delta=0.25)
 
     def test_invalid_bin_width(self):
         ens, _ = random_ensemble(seed=5)
@@ -196,6 +188,10 @@ class TestFavouritePath:
                 float(fav.maxima.mean()), abs=1e-12)
 
 
+def grid_overlap(ens, fld):
+    return two_to_one_report(ens, fld, delta=0.25).replica
+
+
 class TestReplicaOverlap:
     def test_single_path_pairwise_is_one(self):
         ens = constant_path_ensemble([0.1], beta=0.4)
@@ -206,20 +202,20 @@ class TestReplicaOverlap:
         ens = constant_path_ensemble([0.0, 5.0])
         assert replica_overlap_pairwise(ens) == pytest.approx(0.5, abs=1e-14)
         fld = occupancy_field(ens, h=R1 / 4.0)
-        assert replica_overlap(ens, fld) == pytest.approx(0.5, abs=1e-12)
+        assert grid_overlap(ens, fld) == pytest.approx(0.5, abs=1e-12)
 
     def test_grid_matches_pairwise_oracle(self):
         for seed, beta in [(21, 0.8), (22, -1.2), (23, 0.0)]:
             ens, _ = random_ensemble(seed=seed, beta=beta, n_paths=16)
             pair = replica_overlap_pairwise(ens)
             for h, tol in [(R1 / 2.0, 0.25), (R1 / 4.0, 0.12), (R1 / 8.0, 0.06)]:
-                grid_val = replica_overlap(ens, occupancy_field(ens, h=h))
+                grid_val = grid_overlap(ens, occupancy_field(ens, h=h))
                 assert abs(grid_val / pair - 1.0) <= tol
 
     def test_refinement_shrinks_error(self):
         ens, _ = random_ensemble(seed=24, beta=0.6, n_paths=16)
         pair = replica_overlap_pairwise(ens)
-        errs = [abs(replica_overlap(ens, occupancy_field(ens, h=h)) / pair - 1.0)
+        errs = [abs(grid_overlap(ens, occupancy_field(ens, h=h)) / pair - 1.0)
                 for h in (R1 / 2.0, R1 / 8.0)]
         assert errs[1] < errs[0]
 
