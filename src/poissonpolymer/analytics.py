@@ -15,6 +15,7 @@ the annealed-quenched gap grows.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -64,7 +65,9 @@ def critical_curve_exponent(beta: float) -> float:
 
     Strictly decreasing from +inf at -inf to 1 at +inf, with value 2 at 0.
     Near zero both numerator and denominator vanish to second order, so a
-    short Taylor series replaces the ratio for |beta| < 1e-3.
+    short Taylor series replaces the ratio for |beta| < 1e-3.  Above beta = 1
+    the ratio is taken in e^{-beta}, where it stays finite; below about -716
+    the true value exceeds the double range and the result is inf.
     """
     beta = float(beta)
     if abs(beta) < _SERIES_CUTOFF:
@@ -72,8 +75,20 @@ def critical_curve_exponent(beta: float) -> float:
         for c in reversed(_EXPONENT_SERIES):
             acc = acc * beta + c
         return acc
+    if beta > 1.0:
+        # numerator and denominator scaled by e^{-2 beta}; below beta = 1
+        # this form cancels worse than the one in e^beta
+        em = -math.expm1(-beta)
+        return em * em / (em - beta * math.exp(-beta))
     lam = math.expm1(beta)
-    return lam * lam / (math.exp(beta) * (lam - beta))
+    scale = math.exp(beta)
+    if scale >= sys.float_info.min:
+        return lam * lam / (scale * (lam - beta))
+    # e^beta is subnormal or zero: divide by it in log space
+    try:
+        return math.exp(2.0 * math.log(-lam) - beta - math.log(lam - beta))
+    except OverflowError:
+        return math.inf
 
 
 def curve_kernel(alpha: float, u) -> float | np.ndarray:
@@ -175,12 +190,16 @@ def critical_beta_bounds(nu: float, crit: CriticalPoint,
         raise InvalidParameterError(f"nu must be positive, got {nu}")
     if alpha <= 0:
         raise InvalidParameterError(f"alpha must be positive, got {alpha}")
-    ratio = crit.nu0 / nu
 
     def edge(exponent: float, sign: float) -> float:
-        # computed only once the case's hypotheses hold: ratio ** (1 / alpha)
+        # computed only once the case's hypotheses hold: (nu0 / nu) ** (1 / alpha)
         # overflows for the tiny alpha they reject
-        return math.log1p(sign * crit.c1 * ratio ** exponent)
+        if sign > 0:
+            # log1p(c1 * (nu0 / nu)^exponent) in log space: nu0 / nu itself
+            # may overflow while the bound stays finite
+            log_ratio = math.log(crit.nu0) - math.log(nu)
+            return float(np.logaddexp(0.0, math.log(crit.c1) + exponent * log_ratio))
+        return math.log1p(-crit.c1 * (crit.nu0 / nu) ** exponent)
 
     degenerate = alpha == 2.0
     if crit.sign == "plus":

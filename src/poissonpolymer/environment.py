@@ -35,6 +35,7 @@ __all__ = [
 # One chunk's (M, chunk, d) float64 difference array in ``batch_tube_counts``
 # holds at most this many elements (512 KiB): a gather of every live point at
 # once would cost M * n_points * d doubles, hundreds of MB at nu = 100.
+# ``polymer.occupancy_field`` bounds its chunks of stencil entries by it too.
 _CHUNK_ELEMENTS = 2 ** 16
 
 

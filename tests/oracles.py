@@ -1,8 +1,9 @@
 """Independent reference implementations the tests check the library against.
 
 None of these is used by the library itself: each one recomputes a quantity
-the program obtains another way (the grid replica overlap, tube counts, the
-added-point reweighting) by the slowest obvious route.
+the program obtains another way (the occupancy field, the grid replica
+overlap, tube counts, the added-point reweighting) by the slowest obvious
+route.
 """
 
 from __future__ import annotations
@@ -38,6 +39,24 @@ def ball_overlap_volume(d: int, rho):
     out = betainc((d + 1) / 2.0, 0.5, 1.0 - a * a)
     out = np.where(rho_arr >= 2.0 * r, 0.0, out)
     return float(out) if np.isscalar(rho) or rho_arr.ndim == 0 else out
+
+
+def occupancy_field_dense(ensemble, h: float) -> np.ndarray:
+    """Field values (n_steps, B): every path tested against every bin center.
+
+    Bin centers are ``lo + (j + 0.5) * h`` per axis, in lexicographic order.
+    """
+    axes = [lo + (np.arange(int(np.ceil((hi - lo) / h))) + 0.5) * h
+            for lo, hi in zip(ensemble.box.lo, ensemble.box.hi)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    centers = np.column_stack([m.ravel() for m in mesh])
+    r2 = unit_ball_radius(ensemble.d) ** 2
+    w = ensemble.normalized_weights
+    values = np.empty((ensemble.grid.n_steps, centers.shape[0]))
+    for k in range(ensemble.grid.n_steps):
+        diff = ensemble.positions[:, k, :, np.newaxis] - centers.T[np.newaxis, :, :]
+        values[k] = w @ (np.einsum("mdb,mdb->mb", diff, diff) <= r2)
+    return values
 
 
 def replica_overlap_pairwise(ensemble) -> float:

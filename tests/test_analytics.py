@@ -77,6 +77,23 @@ class TestCurveExponent:
         assert critical_curve_exponent(beta) == pytest.approx(
             mp_exponent(beta), rel=1e-12)
 
+    # the e^beta form overflows to nan above about 354.9 and divides by an
+    # underflowed e^beta below about -745
+    @pytest.mark.parametrize("beta", [1.5, 40.0, 350.0, 356.0, 400.0, 709.0, 800.0,
+                                      1e4, -40.0, -350.0])
+    def test_large_magnitude_against_high_precision(self, beta):
+        assert critical_curve_exponent(beta) == pytest.approx(
+            mp_exponent(beta), rel=1e-15, abs=0.0)
+
+    def test_beyond_double_range_is_inf(self):
+        # e^beta is subnormal at -710; from about -716.4 the value exceeds
+        # the largest double
+        assert critical_curve_exponent(-710.0) == pytest.approx(
+            mp_exponent(-710.0), rel=1e-13, abs=0.0)
+        for beta in (-720.0, -800.0):
+            assert mp_exponent(beta) == math.inf
+            assert critical_curve_exponent(beta) == math.inf
+
 
 class TestCurveKernel:
     def test_zero_at_origin(self):

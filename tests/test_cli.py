@@ -238,6 +238,18 @@ class TestAnalytic:
         assert float(fields[6]) == pytest.approx(math.log1p(c1 / 100.0), rel=1e-12)
         assert float(fields[7]) == pytest.approx(math.log1p(c1 / 10.0), rel=1e-12)
 
+    def test_bc_bounds_survive_intensity_ratio_overflow(self, capsys):
+        # nu0 / nu = 1e600 overflows; the bounds log1p(c1 * 1e300) and
+        # log1p(c1 * 1e600) do not
+        _, row = self.run_lines(capsys, "bc-bounds", "--branch", "plus",
+                                "--beta0", "1", "--nu0", "1e300",
+                                "--alpha", "1", "--nu", "1e-300")
+        fields = row.split(",")
+        log_c1 = math.log(math.expm1(1.0))
+        assert fields[5] == "a2"
+        assert float(fields[6]) == pytest.approx(log_c1 + 300 * math.log(10.0), rel=1e-12)
+        assert float(fields[7]) == pytest.approx(log_c1 + 600 * math.log(10.0), rel=1e-12)
+
     def test_classify(self, capsys):
         _, row = self.run_lines(capsys, "classify", "--branch", "plus",
                                 "--beta0", "0.8", "--nu0", "1",

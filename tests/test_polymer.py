@@ -5,7 +5,8 @@ import pytest
 from scipy import stats
 
 from conftest import random_ensemble
-from oracles import add_palm_point, replica_overlap_pairwise
+from oracles import add_palm_point, occupancy_field_dense, replica_overlap_pairwise
+from poissonpolymer import polymer
 from poissonpolymer.environment import PointCloud, SpaceTimeBox, sample_poisson, slab_indices
 from poissonpolymer.errors import (
     InvalidParameterError,
@@ -18,6 +19,7 @@ from poissonpolymer.polymer import (
     OccupancyField,
     TimeGrid,
     assert_two_to_one,
+    bounding_box_for,
     build_ensemble,
     delta_sets,
     favourite_overlap,
@@ -39,6 +41,24 @@ def constant_path_ensemble(xs, beta=0.0, t=2.0, n_steps=8, pad=1.0):
     box = SpaceTimeBox(t_max=t, lo=(min(xs) - pad,), hi=(max(xs) + pad,))
     cloud = PointCloud(times=np.empty(0), coords=np.empty((0, 1)), box=box, nu=0.0)
     return build_ensemble(positions, grid, cloud, beta)
+
+
+def tight_ensemble(d, n_paths, seed=0, t=1.0, n_steps=8):
+    """Random ensemble on the smallest window that covers its tubes, so the
+    balls reach the edge bins."""
+    grid = TimeGrid(t, n_steps)
+    positions = sample_paths(grid, d, n_paths, substream(seed, "paths", 0))
+    lo, hi = bounding_box_for(positions, t, margin=0.0)
+    box = SpaceTimeBox(t_max=t, lo=lo, hi=hi)
+    cloud = sample_poisson(box, 2.0, substream(seed, "cloud", 0))
+    return build_ensemble(positions, grid, cloud, beta=0.8)
+
+
+def assert_matches_dense(ens, h):
+    values = occupancy_field(ens, h).values
+    dense = occupancy_field_dense(ens, h)
+    assert np.array_equal(values > 0, dense > 0)
+    assert np.max(np.abs(values - dense)) <= 1e-13
 
 
 class TestSamplePaths:
@@ -145,6 +165,41 @@ class TestOccupancyField:
         ens, _ = random_ensemble(seed=5)
         with pytest.raises(InvalidParameterError):
             occupancy_field(ens, h=0.0)
+
+    # the window is exactly as wide as the tubes, so the balls reach its
+    # partial edge bins and the stencil reaches past it; h = 1.3 r is > r_d
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("h_over_r, n_paths", [(0.25, 24), (0.3, 1), (1.3, 24)])
+    def test_matches_dense_oracle(self, d, h_over_r, n_paths):
+        ens = tight_ensemble(d, n_paths, seed=10 * d + n_paths)
+        assert_matches_dense(ens, h_over_r * unit_ball_radius(d))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_chunk_loop_matches_dense_oracle(self, d, monkeypatch):
+        # at h = r/4 the stencil is 11 bins per axis: seven (slab, path)
+        # pairs per chunk, so chunks straddle slabs of 24 paths
+        monkeypatch.setattr(polymer, "_CHUNK_ELEMENTS", 7 * 11 ** d)
+        ens = tight_ensemble(d, 24, seed=50 + d)
+        assert_matches_dense(ens, unit_ball_radius(d) / 4.0)
+
+    @pytest.mark.parametrize("d, seed, n_paths", [(1, 3, 500), (1, 4, 60), (2, 1, 500)])
+    def test_same_paths_give_bit_identical_values(self, d, seed, n_paths):
+        # bins covered by the same set of paths in a slab must hold the
+        # same float, or favourite_path's tie rule depends on roundoff
+        ens, fld = random_ensemble(seed=seed, d=d, t=1.0, n_paths=n_paths)
+        r2 = unit_ball_radius(d) ** 2
+        for k in range(ens.grid.n_steps):
+            diff = ens.positions[:, k, :, np.newaxis] - fld.centers.T[np.newaxis]
+            inside = np.einsum("mdb,mdb->mb", diff, diff) <= r2
+            members = np.ascontiguousarray(np.packbits(inside, axis=0).T)
+            _, group = np.unique(members.view(np.dtype((np.void, members.shape[1]))),
+                                 return_inverse=True)
+            group = group.ravel()
+            lowest = np.full(group.max() + 1, np.inf)
+            highest = np.full(group.max() + 1, -np.inf)
+            np.minimum.at(lowest, group, fld.values[k])
+            np.maximum.at(highest, group, fld.values[k])
+            assert np.array_equal(lowest, highest)
 
 
 class TestFavouritePath:
