@@ -34,8 +34,6 @@ from .environment import (
 from .estimators import (
     EstimateWithError,
     ExperimentConfig,
-    MonotonicitySlacks,
-    ScanCell,
     annealed_free_energy,
     dp_dbeta,
     dp_dnu,
@@ -46,7 +44,6 @@ from .estimators import (
 from .geometry import unit_ball_radius
 from .polymer import (
     DeltaSets,
-    FavouritePath,
     GibbsEnsemble,
     OccupancyField,
     TimeGrid,
@@ -54,11 +51,8 @@ from .polymer import (
     assert_two_to_one,
     build_ensemble,
     delta_sets,
-    favourite_overlap,
-    favourite_path,
     occupancy_field,
     sample_paths,
-    two_to_one_report,
 )
 from .streams import stream_key, substream
 

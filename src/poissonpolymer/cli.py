@@ -9,9 +9,11 @@ comments.  Accepted keys (anything else is rejected):
 ``mode`` selects the experiment: quenched, annealed, localization,
 dp-dbeta or dp-dnu.  ``grid.*`` keys hold comma-separated lists and are
 only valid for ``sweep``; cells run in beta-major, then nu, then t order.
-Outputs are results.csv / results.json / manifest.json; all numbers are
-written with 17 significant digits and reruns with the same config and
-seed are byte-identical.
+Couplings lie in [-BETA_LIMIT, BETA_LIMIT] for both ``simulate``/``sweep``
+and ``analytic``.  Each experiment returns its estimates by observable
+name, and each estimate is one output row.  Outputs are results.csv /
+results.json / manifest.json; all numbers are written with 17 significant
+digits and reruns with the same config and seed are byte-identical.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 runtime
 invariant violation (reported with the offending seed and replicate).
@@ -46,6 +48,7 @@ from .analytics import (
 )
 from .errors import ConfigError, InvariantViolationError
 from .estimators import (
+    BETA_LIMIT,
     ExperimentConfig,
     annealed_free_energy,
     dp_dbeta,
@@ -60,10 +63,6 @@ CONFIG_KEYS = {
 }
 MODES = ("quenched", "annealed", "localization", "dp-dbeta", "dp-dnu")
 CSV_HEADER = "mode,d,beta,nu,t,n_steps,M,K,h,value,std_error,ess_min,observable"
-
-# Largest |beta| the analytic command accepts: (e^beta - 1)^2, which the
-# closed forms square, leaves the double range just above |beta| = 354.
-BETA_LIMIT = 350.0
 
 STREAM_RULE = ("k1=splitmix64(seed); k2=splitmix64(k1 xor fnv1a64(tag)); "
                "k3=splitmix64(k2 xor index); philox4x64 key="
@@ -162,10 +161,6 @@ def build_run_plan(raw: dict, sweep: bool, seed_override: int | None = None) -> 
                    grid_nu=grids["nu"], grid_t=grids["t"])
 
 
-def _nan_or(v) -> float:
-    return float("nan") if v is None else float(v)
-
-
 def _none_if_nan(v: float) -> float | None:
     """JSON has no NaN: an undefined number (one replicate's standard error,
     a missing ESS) is written as null."""
@@ -173,42 +168,30 @@ def _none_if_nan(v: float) -> float | None:
 
 
 def _run_cell(mode: str, cfg: ExperimentConfig) -> list[dict]:
-    """One parameter cell -> observable rows (value, SE, ess, extras)."""
-    rows = []
+    """One parameter cell -> one row per estimate the mode's experiment returns.
 
-    def row(observable, est, ess_min=None, extra=None):
-        rows.append({
-            "mode": mode, "d": cfg.d, "beta": cfg.beta, "nu": cfg.nu, "t": cfg.t,
-            "n_steps": cfg.n_steps, "M": cfg.n_paths, "K": cfg.n_envs,
-            "h": cfg.bin_width, "value": est.value, "std_error": est.std_error,
-            "ess_min": _nan_or(ess_min), "observable": observable,
-            **(extra or {}),
-        })
-
-    if mode == "quenched":
-        est = quenched_free_energy(cfg)
-        row("quenched_free_energy", est, est.diagnostics["ess_min"])
-    elif mode == "annealed":
-        row("annealed_free_energy", annealed_free_energy(cfg))
-    elif mode == "dp-dbeta":
-        for name, est in dp_dbeta(cfg).items():
-            row(f"dp_dbeta_{name}", est, est.diagnostics.get("ess_min"))
-    elif mode == "dp-dnu":
-        for name, est in dp_dnu(cfg).items():
-            row(f"dp_dnu_{name}", est, est.diagnostics.get("ess_min"))
-    else:  # localization
-        cell = localization_scan([cfg])[0]
-        triple = {name: {"value": est.value, "std_error": _none_if_nan(est.std_error)}
-                  for name, est in (("middle", cell.delta_middle),
-                                    ("negligible_in_tube", cell.delta_negligible),
-                                    ("predominant_out_of_tube", cell.delta_predominant))}
-        extra = {"delta_sets": triple}
-        row("replica_overlap", cell.overlap, cell.ess_min, extra)
-        row("favourite_overlap", cell.favourite, cell.ess_min, extra)
-        row("delta_middle", cell.delta_middle, cell.ess_min, extra)
-        row("delta_negligible", cell.delta_negligible, cell.ess_min, extra)
-        row("delta_predominant", cell.delta_predominant, cell.ess_min, extra)
-    return rows
+    The experiments are looked up when the cell runs, so a replacement bound
+    in this module's namespace is the one called.
+    """
+    experiments = {"quenched": quenched_free_energy, "annealed": annealed_free_energy,
+                   "localization": localization_scan, "dp-dbeta": dp_dbeta,
+                   "dp-dnu": dp_dnu}
+    estimates = experiments[mode](cfg)
+    extra = {}
+    if mode == "localization":
+        extra["delta_sets"] = {
+            name: {"value": estimates[key].value,
+                   "std_error": _none_if_nan(estimates[key].std_error)}
+            for name, key in (("middle", "delta_middle"),
+                              ("negligible_in_tube", "delta_negligible"),
+                              ("predominant_out_of_tube", "delta_predominant"))}
+    return [{
+        "mode": mode, "d": cfg.d, "beta": cfg.beta, "nu": cfg.nu, "t": cfg.t,
+        "n_steps": cfg.n_steps, "M": cfg.n_paths, "K": cfg.n_envs,
+        "h": cfg.bin_width, "value": est.value, "std_error": est.std_error,
+        "ess_min": est.diagnostics.get("ess_min", math.nan), "observable": observable,
+        **extra,
+    } for observable, est in estimates.items()]
 
 
 def _write_outputs(out_dir: Path, rows: list[dict], config_text: str,

@@ -9,6 +9,11 @@ them to a per-experiment reducer.  Replicates use substreams derived from
 (seed, tag, replicate index), so results are independent of scheduling and
 reproducible bit for bit.
 
+Every experiment takes one ``ExperimentConfig`` and returns a dict from
+observable name (the CLI's ``observable`` column) to ``EstimateWithError``;
+estimates over path-batch ensembles carry the worst effective sample size
+as ``diagnostics["ess_min"]``.
+
 Derivative estimators return all their estimates from that one pass:
 ``dp_dbeta`` the direct, Palm and finite-difference forms, ``dp_dnu`` the
 field and coupled-difference forms.  Finite differences share the random
@@ -35,18 +40,15 @@ from .polymer import (
     assert_two_to_one,
     bounding_box_for,
     build_ensemble,
-    favourite_overlap,
-    favourite_path,
     occupancy_field,
     sample_paths,
 )
 from .streams import substream
 
 __all__ = [
+    "BETA_LIMIT",
     "EstimateWithError",
     "ExperimentConfig",
-    "MonotonicitySlacks",
-    "ScanCell",
     "quenched_free_energy",
     "annealed_free_energy",
     "dp_dbeta",
@@ -56,6 +58,11 @@ __all__ = [
 ]
 
 ESS_WARN_FRACTION = 0.01
+
+# Largest |beta| a config or the analytic command accepts: (e^beta - 1)^2,
+# which the closed forms square, leaves the double range just above
+# |beta| = 354, and e^beta itself just above 709.
+BETA_LIMIT = 350.0
 
 
 @dataclass(frozen=True)
@@ -81,7 +88,8 @@ class ExperimentConfig:
 
     ``n_paths`` paths per environment, ``n_envs`` independent environments;
     ``bin_width`` defaults to r_d / 4.  Desk-scale defaults target d = 1,
-    t <= 8 with n_steps = 64 t.
+    t <= 8 with n_steps = 64 t.  ``|beta|`` is at most ``BETA_LIMIT``.
+    An invalid value raises ``InvalidParameterError`` naming its key.
     """
 
     d: int
@@ -96,30 +104,26 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        def require(key, ok):
+            if not ok:
+                raise InvalidParameterError(f"invalid config value for key '{key}'")
+
         for key in ("beta", "nu", "t", "bin_width", "delta"):
             value = getattr(self, key)
-            if value is not None and not math.isfinite(value):
-                raise InvalidParameterError(f"invalid config value for key '{key}'")
+            require(key, value is None or math.isfinite(value))
+        require("d", self.d >= 1 and int(self.d) == self.d)  # the bin_width default needs it
         if self.n_steps is None:
             object.__setattr__(self, "n_steps", max(1, round(64 * self.t)))
         if self.bin_width is None:
             object.__setattr__(self, "bin_width", unit_ball_radius(self.d) / 4.0)
-        self.validate()
-
-    def validate(self):
-        checks = [
-            ("d", self.d >= 1 and int(self.d) == self.d),
-            ("nu", self.nu >= 0),
-            ("t", self.t > 0),
-            ("n_steps", self.n_steps >= 1),
-            ("paths_per_env", self.n_paths >= 1),
-            ("n_envs", self.n_envs >= 1),
-            ("bin_width", self.bin_width > 0),
-            ("delta", 0.0 < self.delta <= 0.5),
-        ]
-        for key, ok in checks:
-            if not ok:
-                raise InvalidParameterError(f"invalid config value for key '{key}'")
+        require("beta", abs(self.beta) <= BETA_LIMIT)
+        require("nu", self.nu >= 0)
+        require("t", self.t > 0)
+        require("n_steps", self.n_steps >= 1)
+        require("paths_per_env", self.n_paths >= 1)
+        require("n_envs", self.n_envs >= 1)
+        require("bin_width", self.bin_width > 0)
+        require("delta", 0.0 < self.delta <= 0.5)
 
     @property
     def grid(self) -> TimeGrid:
@@ -166,7 +170,7 @@ def _checked_field(cfg: ExperimentConfig, i: int, ens: GibbsEnsemble):
     """Occupancy field of replicate i and the report of its re-asserted grid
     inequalities, which carries the field's overlaps and delta sets."""
     fld = occupancy_field(ens, cfg.bin_width)
-    return fld, assert_two_to_one(ens, fld, cfg.delta, seed=cfg.seed, replicate=i)
+    return fld, assert_two_to_one(fld, cfg.delta, seed=cfg.seed, replicate=i)
 
 
 def _log_z_jackknife(ensemble: GibbsEnsemble) -> tuple[float, float]:
@@ -181,7 +185,7 @@ def _log_z_jackknife(ensemble: GibbsEnsemble) -> tuple[float, float]:
     return raw - bias, bias
 
 
-def quenched_free_energy(cfg: ExperimentConfig) -> EstimateWithError:
+def quenched_free_energy(cfg: ExperimentConfig) -> dict[str, EstimateWithError]:
     """Mean over environments of (1/t) ln Z_hat, jackknife-corrected.
 
     The ln-of-mean estimator is biased low at finite M; the per-environment
@@ -193,10 +197,10 @@ def quenched_free_energy(cfg: ExperimentConfig) -> EstimateWithError:
     diag = {"ess_min": ess_min,
             "ess_degenerate": ess_min < ESS_WARN_FRACTION * cfg.n_paths,
             "jackknife_bias_mean": float(biases.mean())}
-    return _mean_se(values, diag)
+    return {"quenched_free_energy": _mean_se(values, diag)}
 
 
-def annealed_free_energy(cfg: ExperimentConfig) -> EstimateWithError:
+def annealed_free_energy(cfg: ExperimentConfig) -> dict[str, EstimateWithError]:
     """(1/t) ln of the environment average of exp(beta H) for the pinned
     zero path; targets nu * (e^beta - 1) exactly.
 
@@ -219,76 +223,86 @@ def annealed_free_energy(cfg: ExperimentConfig) -> EstimateWithError:
     value = (shift + math.log(mean_y)) / cfg.t
     se = float(y.std(ddof=1) / math.sqrt(cfg.n_envs)) / mean_y / cfg.t \
         if cfg.n_envs > 1 else math.nan
-    return EstimateWithError(value, se, cfg.n_envs,
-                             {"target": cfg.nu * math.expm1(cfg.beta)})
+    return {"annealed_free_energy": EstimateWithError(
+        value, se, cfg.n_envs, {"target": cfg.nu * math.expm1(cfg.beta)})}
+
+
+def _tilt(beta: float, m: np.ndarray) -> np.ndarray:
+    """1 + (e^beta - 1) m: the factor by which a point with occupancy m
+    changes Z.  For beta < 0 it is formed as (1 - m) + e^beta m with m
+    clipped to at most 1, because where expm1(beta) rounds to -1 the direct
+    form cancels to zero, or below it where roundoff lifts m above 1."""
+    if beta >= 0:
+        return 1.0 + math.expm1(beta) * m
+    m = np.minimum(m, 1.0)
+    return (1.0 - m) + math.exp(beta) * m
+
+
+def _log_tilt(beta: float, m: np.ndarray) -> np.ndarray:
+    """ln _tilt(beta, m).  log1p of lambda m has full relative precision
+    where lambda m > -1/2, which is everywhere for beta >= 0; below that the
+    log of the cancellation-free tilt has."""
+    x = math.expm1(beta) * m
+    return np.where(x > -0.5, np.log1p(np.maximum(x, -0.5)), np.log(_tilt(beta, m)))
 
 
 def dp_dbeta(cfg: ExperimentConfig, eps: float = 0.05) -> dict[str, EstimateWithError]:
     """Beta-derivative of the quenched free energy, three ways, from one pass.
 
-    direct: Gibbs mean of the Hamiltonian over t.
-    palm: the added-point identity turns the derivative into
+    dp_dbeta_direct: Gibbs mean of the Hamiltonian over t.
+    dp_dbeta_palm: the added-point identity turns the derivative into
         nu e^beta times the field integral of m / (1 + lambda m).
-    finite_difference: central difference of (1/t) ln Z_hat at beta +- eps
-        with common random numbers (same paths, same cloud).
+    dp_dbeta_finite_difference: central difference of (1/t) ln Z_hat at
+        beta +- eps with common random numbers (same paths, same cloud).
     """
-    lam = math.expm1(cfg.beta)
-
     def reduce(i, ens):
         fld, _ = _checked_field(cfg, i, ens)
         integral = float(np.mean(
-            np.sum(fld.values / (1.0 + lam * fld.values), axis=1)) * fld.cell_volume)
+            np.sum(fld.values / _tilt(cfg.beta, fld.values), axis=1)) * fld.cell_volume)
         return (float(ens.normalized_weights @ ens.hamiltonians) / cfg.t,
                 cfg.nu * math.exp(cfg.beta) * integral,
                 (ens.log_z_at(cfg.beta + eps) - ens.log_z_at(cfg.beta - eps))
                 / (2.0 * eps * cfg.t))
 
     columns, ess_min = _over_environments(cfg, reduce)
-    return {method: _mean_se(values, {"ess_min": ess_min}) for method, values
+    return {f"dp_dbeta_{method}": _mean_se(values, {"ess_min": ess_min}) for method, values
             in zip(("direct", "palm", "finite_difference"), columns)}
 
 
 def dp_dnu(cfg: ExperimentConfig, eps: float | None = None) -> dict[str, EstimateWithError]:
     """Intensity-derivative two ways, from one pass over shared path batches.
 
-    field: the field integral of ln(1 + lambda m) at nu.
-    coupled_fd: central difference of (1/t) ln Z_hat in the intensity, where
-        the nu + eps cloud is the nu - eps cloud superposed with an
-        independent 2 eps cloud, on the same path batch.
+    dp_dnu_field: the field integral of ln(1 + lambda m) at nu.
+    dp_dnu_coupled_fd: central difference of (1/t) ln Z_hat in the
+        intensity, where the nu + eps cloud is the nu - eps cloud superposed
+        with an independent 2 eps cloud, on the same path batch.
     """
     if eps is None:
         eps = 0.05 * cfg.nu
     if not 0.0 < eps < cfg.nu:
         raise InvalidParameterError("need 0 < eps < nu for the coupled difference")
-    lam = math.expm1(cfg.beta)
 
     def reduce(i, ens, ens_lo, ens_hi):
         fld, _ = _checked_field(cfg, i, ens)
-        return (float(np.mean(np.sum(np.log1p(lam * fld.values), axis=1))
+        return (float(np.mean(np.sum(_log_tilt(cfg.beta, fld.values), axis=1))
                       * fld.cell_volume),
                 (ens_hi.log_z_hat - ens_lo.log_z_hat) / (2.0 * eps * cfg.t))
 
     (field_values, fd_values), ess_min = _over_environments(
         cfg, reduce, nus=(cfg.nu, cfg.nu - eps), extra_nu=2.0 * eps)
-    return {"field": _mean_se(field_values, {"ess_min": ess_min}),
-            "coupled_fd": _mean_se(fd_values)}
+    return {"dp_dnu_field": _mean_se(field_values, {"ess_min": ess_min}),
+            "dp_dnu_coupled_fd": _mean_se(fd_values)}
 
 
-@dataclass(frozen=True)
-class MonotonicitySlacks:
-    """Slack of the coupled free-energy difference against its two bounds."""
-
-    lower: EstimateWithError  # difference minus beta * (nu - nu_lo)
-    upper: EstimateWithError  # lambda(beta) * (nu - nu_lo) minus difference
-    difference: EstimateWithError
-
-
-def nu_monotonicity(cfg: ExperimentConfig, nu_lo: float) -> MonotonicitySlacks:
+def nu_monotonicity(cfg: ExperimentConfig, nu_lo: float) -> dict[str, EstimateWithError]:
     """Coupled estimate of p(beta, nu) - p(beta, nu_lo) and its bound slacks.
 
     The nu-cloud is built as the nu_lo-cloud plus an independent
     (nu - nu_lo)-cloud on the same window, with the same path batch, so the
     monotone coupling bounds hold replicate by replicate in expectation.
+    Returns the ``difference``, its ``lower`` slack (difference minus
+    beta (nu - nu_lo)) and its ``upper`` slack (lambda (nu - nu_lo) minus
+    difference).
     """
     if not 0.0 < nu_lo <= cfg.nu:
         raise InvalidParameterError(f"need 0 < nu_lo <= nu, got nu_lo={nu_lo}")
@@ -296,43 +310,25 @@ def nu_monotonicity(cfg: ExperimentConfig, nu_lo: float) -> MonotonicitySlacks:
     (diffs,), _ = _over_environments(
         cfg, lambda i, ens_lo, ens_hi: ((ens_hi.log_z_hat - ens_lo.log_z_hat) / cfg.t,),
         nus=(nu_lo,), extra_nu=gap)
-    lam = math.expm1(cfg.beta)
-    difference = _mean_se(diffs)
-    lower = _mean_se(diffs - cfg.beta * gap)
-    upper = _mean_se(lam * gap - diffs)
-    return MonotonicitySlacks(lower=lower, upper=upper, difference=difference)
+    return {"difference": _mean_se(diffs),
+            "lower": _mean_se(diffs - cfg.beta * gap),
+            "upper": _mean_se(math.expm1(cfg.beta) * gap - diffs)}
 
 
-@dataclass(frozen=True)
-class ScanCell:
-    """Q-averaged localization observables for one parameter cell."""
+def localization_scan(cfg: ExperimentConfig) -> dict[str, EstimateWithError]:
+    """Replica and favourite overlaps and the three delta-set measures.
 
-    cfg: ExperimentConfig
-    overlap: EstimateWithError
-    favourite: EstimateWithError
-    delta_middle: EstimateWithError
-    delta_negligible: EstimateWithError
-    delta_predominant: EstimateWithError
-    ess_min: float
-
-
-def _scan_cell(cfg: ExperimentConfig) -> ScanCell:
-    def reduce(i, ens):
-        fld, report = _checked_field(cfg, i, ens)
-        ds = report.deltas
-        return (report.replica, favourite_overlap(ens, favourite_path(fld)),
-                ds.middle_measure, ds.negligible_in_tube, ds.predominant_out_of_tube)
-
-    (r2, r_star, middles, negs, preds), ess_min = _over_environments(cfg, reduce)
-    return ScanCell(cfg=cfg, overlap=_mean_se(r2), favourite=_mean_se(r_star),
-                    delta_middle=_mean_se(middles), delta_negligible=_mean_se(negs),
-                    delta_predominant=_mean_se(preds), ess_min=ess_min)
-
-
-def localization_scan(cfgs: list[ExperimentConfig]) -> list[ScanCell]:
-    """Localization observables over a list of parameter cells.
-
-    Each cell re-asserts the exact per-configuration grid inequalities on
-    every replicate and aborts with the offending seed on violation.
+    Every replicate's field re-asserts the exact per-configuration grid
+    inequalities, aborting with the offending seed on violation, and the
+    report of that check holds all five observables.
     """
-    return [_scan_cell(cfg) for cfg in cfgs]
+    def reduce(i, ens):
+        report = _checked_field(cfg, i, ens)[1]
+        ds = report.deltas
+        return (report.replica, report.favourite, ds.middle_measure,
+                ds.negligible_in_tube, ds.predominant_out_of_tube)
+
+    columns, ess_min = _over_environments(cfg, reduce)
+    return {name: _mean_se(values, {"ess_min": ess_min}) for name, values in zip(
+        ("replica_overlap", "favourite_overlap", "delta_middle", "delta_negligible",
+         "delta_predominant"), columns)}

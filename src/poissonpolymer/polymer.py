@@ -13,6 +13,13 @@ away lies outside the ball), so the only discretization error relative to
 the continuum is grid-max vs continuum-sup and cell sums vs integrals.
 That is what makes the grid two-to-one inequalities below exact (slack
 bounded by roundoff), not merely asymptotic.
+
+The localization observables are reductions of the field alone, collected
+by ``assert_two_to_one``.  The favourite overlap, the Gibbs-mean fraction
+of slabs a path spends in the ball around the slab's most occupied bin
+center, is the time mean of the per-slab field maxima: the field value at
+that center is exactly the Gibbs probability of that ball.  So no argmax,
+and no tie rule between equal maxima, is needed.
 """
 
 from __future__ import annotations
@@ -30,17 +37,13 @@ __all__ = [
     "TimeGrid",
     "GibbsEnsemble",
     "OccupancyField",
-    "FavouritePath",
     "DeltaSets",
     "TwoToOneReport",
     "sample_paths",
     "bounding_box_for",
     "build_ensemble",
     "occupancy_field",
-    "favourite_path",
-    "favourite_overlap",
     "delta_sets",
-    "two_to_one_report",
     "assert_two_to_one",
 ]
 
@@ -157,10 +160,11 @@ class OccupancyField:
 
     ``values[k, b]`` is the Gibbs probability that the path lies within r_d
     of bin center b during slab k; ``time_mass[k]`` its cell-volume-weighted
-    total, which equals 1 exactly under continuum integration.
+    total, which equals 1 exactly under continuum integration.  Everything
+    the localization observables need is here, so the functions that reduce
+    a field take the field alone.
     """
 
-    ensemble: GibbsEnsemble
     h: float
     centers: np.ndarray      # (B, d), lexicographically ordered
     values: np.ndarray       # (n_steps, B)
@@ -168,7 +172,7 @@ class OccupancyField:
 
     @property
     def cell_volume(self) -> float:
-        return self.h ** self.ensemble.d
+        return self.h ** self.centers.shape[1]
 
 
 def _bin_centers(lo: np.ndarray, shape: np.ndarray, h: float) -> np.ndarray:
@@ -185,8 +189,7 @@ def occupancy_field(ensemble: GibbsEnsemble, h: float) -> OccupancyField:
     side absorbs the rounding of that bin index.  Entries are taken slab
     first, then path, and accumulated by one ``bincount`` per chunk, so every
     bin adds its paths in increasing path index: bins covered by the same
-    paths hold bit-identical values, which keeps ``favourite_path``'s tie
-    rule exact.
+    paths hold bit-identical values.
     """
     if h <= 0:
         raise InvalidParameterError(f"bin width must be positive, got {h}")
@@ -224,44 +227,7 @@ def occupancy_field(ensemble: GibbsEnsemble, h: float) -> OccupancyField:
         values[k0:k1] += np.bincount(flat.reshape(len(pair), -1)[keep], weights=weights,
                                      minlength=(k1 - k0) * n_bins).reshape(k1 - k0, n_bins)
     time_mass = values.sum(axis=1) * h ** d
-    return OccupancyField(ensemble=ensemble, h=h, centers=centers,
-                          values=values, time_mass=time_mass)
-
-
-def _check_field(ensemble: GibbsEnsemble, fld: OccupancyField):
-    if fld.ensemble is not ensemble:
-        raise InvalidParameterError("field was not built from this ensemble")
-
-
-@dataclass(frozen=True, eq=False)
-class FavouritePath:
-    """Per-slab argmax of the occupancy field, canonical under ties."""
-
-    fld: OccupancyField
-    centers: np.ndarray  # (n_steps, d)
-    maxima: np.ndarray   # (n_steps,)
-
-
-def favourite_path(fld: OccupancyField) -> FavouritePath:
-    """Argmax bin center per slab, lexicographically smallest on ties.
-
-    Bin centers are stored in lexicographic order, so the first maximal
-    index is the canonical choice.
-    """
-    idx = np.argmax(fld.values, axis=1)
-    return FavouritePath(fld=fld, centers=fld.centers[idx],
-                         maxima=fld.values[np.arange(fld.values.shape[0]), idx])
-
-
-def favourite_overlap(ensemble: GibbsEnsemble, fav: FavouritePath) -> float:
-    """Gibbs-averaged fraction of slabs a path spends in the favourite ball."""
-    _check_field(ensemble, fav.fld)
-    r2 = unit_ball_radius(ensemble.d) ** 2
-    pos = ensemble.positions[:, :-1, :]          # (M, n, d)
-    diff = pos - fav.centers[np.newaxis, :, :]   # (M, n, d)
-    inside = np.einsum("mkd,mkd->mk", diff, diff) <= r2
-    per_path = inside.mean(axis=1)
-    return float(ensemble.normalized_weights @ per_path)
+    return OccupancyField(h=h, centers=centers, values=values, time_mass=time_mass)
 
 
 @dataclass(frozen=True)
@@ -295,7 +261,7 @@ def delta_sets(fld: OccupancyField, delta: float) -> DeltaSets:
 
 @dataclass(frozen=True)
 class TwoToOneReport:
-    """All sides of the exact grid two-to-one inequalities for one ensemble.
+    """All sides of the exact grid two-to-one inequalities for one field.
 
     Every ``slack_*`` is (bound - quantity) and must be >= -tol; the proofs
     are pointwise (Cauchy-Schwarz cell by cell), so they hold per
@@ -304,7 +270,7 @@ class TwoToOneReport:
     """
 
     replica: float            # grid replica overlap
-    favourite: float          # Gibbs mean of the per-slab maxima
+    favourite: float          # favourite overlap: mean of the per-slab maxima
     gap: float                # time-averaged cell sum of m (1 - m)
     mass_defect: float        # time-averaged |1 - per-slab mass|
     deltas: DeltaSets
@@ -323,9 +289,15 @@ class TwoToOneReport:
         return min(slacks)
 
 
-def two_to_one_report(ensemble: GibbsEnsemble, fld: OccupancyField,
-                      delta: float) -> TwoToOneReport:
-    _check_field(ensemble, fld)
+def assert_two_to_one(fld: OccupancyField, delta: float, tol: float = 1e-9,
+                      seed: int | None = None,
+                      replicate: int | None = None) -> TwoToOneReport:
+    """All sides of the grid two-to-one inequalities of one field, asserted.
+
+    Raises ``InvariantViolationError`` carrying ``seed`` and ``replicate``
+    when a slack falls below -tol; otherwise returns the report, which
+    holds the field's replica and favourite overlaps and delta sets.
+    """
     m = fld.values
     cell = fld.cell_volume
     maxima = m.max(axis=1)
@@ -339,22 +311,15 @@ def two_to_one_report(ensemble: GibbsEnsemble, fld: OccupancyField,
     slack_middle = gap / (delta * (1.0 - delta)) - ds.middle_measure
     slack_neg = gap / (1.0 - delta) - ds.negligible_in_tube
     slack_pred = gap / (1.0 - delta) - ds.predominant_out_of_tube
-    slack_left = r2 - 0.5 * r_star ** 2 if ensemble.d == 1 else None
-    return TwoToOneReport(replica=r2, favourite=r_star, gap=gap,
-                          mass_defect=mass_defect, deltas=ds,
-                          slack_right_mass=slack_right,
-                          slack_one_minus=slack_one_minus,
-                          slack_middle=slack_middle,
-                          slack_negligible=slack_neg,
-                          slack_predominant=slack_pred,
-                          slack_left_d1=slack_left)
-
-
-def assert_two_to_one(ensemble: GibbsEnsemble, fld: OccupancyField, delta: float,
-                      tol: float = 1e-9, seed: int | None = None,
-                      replicate: int | None = None) -> TwoToOneReport:
-    """Re-assert the exact grid inequalities; abort loudly on violation."""
-    report = two_to_one_report(ensemble, fld, delta)
+    slack_left = r2 - 0.5 * r_star ** 2 if fld.centers.shape[1] == 1 else None
+    report = TwoToOneReport(replica=r2, favourite=r_star, gap=gap,
+                            mass_defect=mass_defect, deltas=ds,
+                            slack_right_mass=slack_right,
+                            slack_one_minus=slack_one_minus,
+                            slack_middle=slack_middle,
+                            slack_negligible=slack_neg,
+                            slack_predominant=slack_pred,
+                            slack_left_d1=slack_left)
     if report.min_slack() < -tol:
         raise InvariantViolationError(
             f"grid two-to-one inequality violated: min slack {report.min_slack():.3e}",

@@ -2,8 +2,8 @@
 
 None of these is used by the library itself: each one recomputes a quantity
 the program obtains another way (the occupancy field, the grid replica
-overlap, tube counts, the added-point reweighting) by the slowest obvious
-route.
+overlap, the favourite overlap, tube counts, the added-point reweighting)
+by the slowest obvious route.
 """
 
 from __future__ import annotations
@@ -100,3 +100,16 @@ def add_palm_point(cloud: PointCloud, s: float, x) -> PointCloud:
     times = np.concatenate([cloud.times, [float(s)]])
     coords = np.concatenate([cloud.coords, x[np.newaxis, :]])
     return PointCloud(times=times, coords=coords, box=box, nu=cloud.nu)
+
+
+def favourite_overlap_pathwise(ensemble, centers: np.ndarray) -> float:
+    """Gibbs-averaged fraction of slabs a path spends within r_d of the
+    slab's center, path by path; ``centers`` is (n_steps, d).
+
+    With the per-slab argmax centers of the occupancy field this is the
+    favourite overlap the field report reads off the per-slab maxima.
+    """
+    r2 = unit_ball_radius(ensemble.d) ** 2
+    diff = ensemble.positions[:, :-1, :] - centers[np.newaxis, :, :]  # (M, n, d)
+    inside = np.einsum("mkd,mkd->mk", diff, diff) <= r2
+    return float(ensemble.normalized_weights @ inside.mean(axis=1))

@@ -50,7 +50,7 @@ class TestCriterion1AnnealedIdentity:
         start = time.perf_counter()
         cfg = ExperimentConfig(d=1, beta=beta, nu=1.0, t=4.0, n_paths=1,
                                n_envs=100_000, seed=SEED)
-        est = annealed_free_energy(cfg)
+        est = annealed_free_energy(cfg)["annealed_free_energy"]
         target = cfg.nu * annealed_rate(beta)
         err = abs(est.value - target)
         elapsed = time.perf_counter() - start
@@ -139,9 +139,9 @@ class TestCriterion4ExactGridInequalities:
             beta = float(rng.uniform(-2.0, 2.0))
             nu = float(rng.uniform(0.5, 4.0))
             n_paths = int(rng.integers(8, 65))
-            ens, fld = random_ensemble(seed=3000 + trial, beta=beta, nu=nu,
-                                       t=2.0, n_steps=128, n_paths=n_paths)
-            rep = assert_two_to_one(ens, fld, delta=0.25, tol=1e-9,
+            _, fld = random_ensemble(seed=3000 + trial, beta=beta, nu=nu,
+                                     t=2.0, n_steps=128, n_paths=n_paths)
+            rep = assert_two_to_one(fld, delta=0.25, tol=1e-9,
                                     seed=3000 + trial, replicate=trial)
             worst = min(worst, rep.min_slack())
         elapsed = time.perf_counter() - start
@@ -164,7 +164,8 @@ class TestCriterion5DerivativeCrossChecks:
     def test_direct_vs_palm_and_fd(self):
         start = time.perf_counter()
         est = dp_dbeta(CFG56, eps=0.05)
-        direct, palm, fd = est["direct"], est["palm"], est["finite_difference"]
+        direct, palm, fd = (est[f"dp_dbeta_{form}"]
+                            for form in ("direct", "palm", "finite_difference"))
         allowance = 0.05 * CFG56.nu * math.exp(CFG56.beta)
         gap_palm = abs(direct.value - palm.value)
         tol_palm = 3.0 * comb_se(direct, palm) + allowance
@@ -183,8 +184,8 @@ class TestCriterion6FreeEnergySandwich:
 
     def test_sandwich(self):
         start = time.perf_counter()
-        quenched = quenched_free_energy(CFG56)
-        annealed = annealed_free_energy(CFG56)
+        quenched = quenched_free_energy(CFG56)["quenched_free_energy"]
+        annealed = annealed_free_energy(CFG56)["annealed_free_energy"]
         lower = CFG56.nu * CFG56.beta
         ok_lower = quenched.value >= lower - 3.0 * quenched.std_error
         ok_upper = quenched.value <= annealed.value + 3.0 * comb_se(quenched, annealed)
@@ -202,29 +203,29 @@ class TestCriterion7IntensityMonotonicity:
         cfg = ExperimentConfig(d=1, beta=1.0, nu=2.0, t=2.0, n_steps=128,
                                n_paths=2000, n_envs=200, seed=SEED)
         res = nu_monotonicity(cfg, nu_lo=1.0)
-        ok = (res.lower.value >= -3.0 * res.lower.std_error
-              and res.upper.value >= -3.0 * res.upper.std_error)
+        lower, upper = res["lower"], res["upper"]
+        ok = (lower.value >= -3.0 * lower.std_error
+              and upper.value >= -3.0 * upper.std_error)
         elapsed = time.perf_counter() - start
         report("7", ok,
-               f"lower slack {res.lower.value:.4f} (SE {res.lower.std_error:.4f}), "
-               f"upper slack {res.upper.value:.4f} (SE {res.upper.std_error:.4f}) "
+               f"lower slack {lower.value:.4f} (SE {lower.std_error:.4f}), "
+               f"upper slack {upper.value:.4f} (SE {upper.std_error:.4f}) "
                f">= -3*SE [{elapsed:.0f}s]")
 
 
 class TestCriterion8LocalizationTrend:
     """Directional localization checks at desk scale (finite t only)."""
 
-    def scan(self, cells):
-        return localization_scan([
+    def overlaps(self, cells):
+        return [localization_scan(
             ExperimentConfig(d=1, beta=b, nu=nu, t=4.0, n_steps=256,
-                             n_paths=500, n_envs=100, seed=SEED)
-            for b, nu in cells])
+                             n_paths=500, n_envs=100, seed=SEED))["replica_overlap"]
+            for b, nu in cells]
 
     def test_overlap_nondecreasing_in_beta(self):
         start = time.perf_counter()
         betas = [0.0, 0.5, 1.0, 2.0]
-        cells = self.scan([(b, 1.0) for b in betas])
-        overlaps = [c.overlap for c in cells]
+        overlaps = self.overlaps([(b, 1.0) for b in betas])
         ok = True
         detail = []
         for prev, nxt in zip(overlaps, overlaps[1:]):
@@ -240,8 +241,7 @@ class TestCriterion8LocalizationTrend:
     def test_overlap_grows_with_intensity(self):
         start = time.perf_counter()
         nus = [1.0, 10.0, 100.0]
-        cells = self.scan([(0.5, nu) for nu in nus])
-        overlaps = [c.overlap for c in cells]
+        overlaps = self.overlaps([(0.5, nu) for nu in nus])
         ok = True
         for prev, nxt in zip(overlaps, overlaps[1:]):
             ok = ok and nxt.value - prev.value >= -2.0 * comb_se(prev, nxt)

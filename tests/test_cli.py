@@ -29,6 +29,14 @@ def write_config(tmp_path, text, name="run.cfg"):
     return path
 
 
+def load_results_json(out):
+    """The rows of results.json, which must hold no NaN or Infinity."""
+    def reject(constant):
+        raise AssertionError(f"results.json holds {constant}")
+
+    return json.loads((out / "results.json").read_text(), parse_constant=reject)
+
+
 class TestConfigParsing:
     def test_roundtrip(self):
         raw = parse_config_text(MINIMAL)
@@ -156,6 +164,20 @@ class TestSimulate:
         assert main(["simulate", str(config), "--out", str(tmp_path / "o")]) == 2
         assert f"'{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,mode", [
+        ("d", "0", "quenched"), ("d", "-1", "localization"),
+        ("beta", "800", "dp-dbeta"), ("beta", "800", "annealed"),
+        ("beta", "-351", "dp-dnu"), ("beta", "1e308", "quenched"),
+        ("beta", "1e308", "localization")],
+        ids=["d-0", "d-negative", "beta-800-dp-dbeta", "beta-800-annealed",
+             "beta-minus-351", "beta-1e308-quenched", "beta-1e308-localization"])
+    def test_out_of_range_value_names_key(self, tmp_path, capsys, key, value, mode):
+        kept = [line for line in MINIMAL.splitlines()
+                if not line.startswith((f"{key} ", "mode "))]
+        config = write_config(tmp_path, "\n".join(kept) + f"\n{key} = {value}\nmode = {mode}\n")
+        assert main(["simulate", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("mode", ["quenched", "annealed", "localization"])
     def test_single_replicate_has_no_standard_error(self, tmp_path, mode):
         text = MINIMAL.replace("beta = 0", "beta = 0.5").replace("n_envs = 4", "n_envs = 1")
@@ -164,23 +186,36 @@ class TestSimulate:
         assert main(["simulate", str(config), "--out", str(out)]) == 0
         for line in (out / "results.csv").read_text().strip().split("\n")[1:]:
             assert line.split(",")[10] == "nan"
-
-        def reject(constant):
-            raise AssertionError(f"results.json holds {constant}")
-
-        rows = json.loads((out / "results.json").read_text(), parse_constant=reject)
-        for row in rows:
+        for row in load_results_json(out):
             assert row["std_error"] is None
             for entry in row.get("delta_sets", {}).values():
                 assert entry["std_error"] is None
 
-    def test_invariant_violation_exit_code_3(self, tmp_path, monkeypatch, capsys):
+    # where expm1(beta) rounds to -1, 1 + lambda m cancels at m = 1
+    @pytest.mark.parametrize("mode", ["dp-dbeta", "dp-dnu"])
+    @pytest.mark.parametrize("beta", ["-350", "-40"])
+    def test_negative_coupling_derivatives_are_finite(self, tmp_path, mode, beta):
+        text = MINIMAL.replace("beta = 0", f"beta = {beta}").replace(
+            "paths_per_env = 40", "paths_per_env = 200").replace(
+            "mode = quenched", f"mode = {mode}")
+        out = tmp_path / "out"
+        assert main(["simulate", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+        for row in load_results_json(out):
+            assert math.isfinite(row["value"]) and math.isfinite(row["std_error"])
+
+    @pytest.mark.parametrize("mode,experiment", [
+        ("quenched", "quenched_free_energy"), ("annealed", "annealed_free_energy"),
+        ("localization", "localization_scan"), ("dp-dbeta", "dp_dbeta"),
+        ("dp-dnu", "dp_dnu")], ids=["quenched", "annealed", "localization",
+                                    "dp-dbeta", "dp-dnu"])
+    def test_invariant_violation_exit_code_3(self, tmp_path, monkeypatch, capsys,
+                                             mode, experiment):
         def explode(*args, **kwargs):
             raise InvariantViolationError("forced", seed=9, replicate=0)
 
-        monkeypatch.setattr("poissonpolymer.estimators.quenched_free_energy", explode)
-        monkeypatch.setattr(cli, "quenched_free_energy", explode)
-        config = write_config(tmp_path, MINIMAL)
+        # replaced only where the CLI looks it up, as the benchmark tracer does
+        monkeypatch.setattr(cli, experiment, explode)
+        config = write_config(tmp_path, MINIMAL.replace("mode = quenched", f"mode = {mode}"))
         assert main(["simulate", str(config), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert "seed=9" in err and "replicate=0" in err

@@ -1,11 +1,15 @@
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
 
 from poissonpolymer.analytics import annealed_rate
 from poissonpolymer.errors import InvalidParameterError
 from poissonpolymer.estimators import (
     ExperimentConfig,
+    _log_tilt,
+    _tilt,
     annealed_free_energy,
     dp_dbeta,
     dp_dnu,
@@ -41,49 +45,49 @@ class TestConfig:
 
 class TestQuenchedFreeEnergy:
     def test_beta_zero_exact(self):
-        est = quenched_free_energy(cfg(beta=0.0, n_envs=5, n_paths=40))
+        est = quenched_free_energy(cfg(beta=0.0, n_envs=5, n_paths=40))["quenched_free_energy"]
         assert est.value == 0.0
         assert est.std_error == 0.0
 
     def test_nu_zero_exact(self):
-        est = quenched_free_energy(cfg(nu=0.0, n_envs=5, n_paths=40))
+        est = quenched_free_energy(cfg(nu=0.0, n_envs=5, n_paths=40))["quenched_free_energy"]
         assert est.value == 0.0
         assert est.std_error == 0.0
 
     def test_sandwich_between_linear_and_annealed(self):
         c = cfg(n_envs=40, n_paths=400)
-        quenched = quenched_free_energy(c)
-        annealed = annealed_free_energy(cfg(n_envs=20_000))
+        quenched = quenched_free_energy(c)["quenched_free_energy"]
+        annealed = annealed_free_energy(cfg(n_envs=20_000))["annealed_free_energy"]
         lower = c.nu * c.beta
         assert quenched.value >= lower - 3.0 * quenched.std_error
         assert quenched.value <= annealed.value + 3.0 * combined_se(quenched, annealed)
 
     def test_deterministic_replay(self):
-        a = quenched_free_energy(cfg())
-        b = quenched_free_energy(cfg())
+        a = quenched_free_energy(cfg())["quenched_free_energy"]
+        b = quenched_free_energy(cfg())["quenched_free_energy"]
         assert a.value == b.value and a.std_error == b.std_error
 
     def test_jackknife_bias_reported(self):
-        est = quenched_free_energy(cfg(n_envs=10))
+        est = quenched_free_energy(cfg(n_envs=10))["quenched_free_energy"]
         assert "jackknife_bias_mean" in est.diagnostics
         assert "ess_min" in est.diagnostics
 
 
 class TestAnnealedFreeEnergy:
     def test_beta_zero_exact(self):
-        est = annealed_free_energy(cfg(beta=0.0, n_envs=50))
+        est = annealed_free_energy(cfg(beta=0.0, n_envs=50))["annealed_free_energy"]
         assert est.value == 0.0
 
     def test_positive_beta_target(self):
         c = cfg(t=4.0, n_envs=20_000, seed=5)
-        est = annealed_free_energy(c)
+        est = annealed_free_energy(c)["annealed_free_energy"]
         target = c.nu * annealed_rate(c.beta)
         assert abs(est.value - target) <= 3.0 * est.std_error
         assert est.std_error > 0
 
     def test_negative_beta_target(self):
         c = cfg(beta=-1.0, nu=2.0, t=2.0, n_envs=20_000, seed=6)
-        est = annealed_free_energy(c)
+        est = annealed_free_energy(c)["annealed_free_energy"]
         target = 2.0 * annealed_rate(-1.0)
         assert target == pytest.approx(-1.26424, abs=1e-5)
         assert abs(est.value - target) <= 3.0 * est.std_error
@@ -93,21 +97,21 @@ class TestDpDbeta:
     def test_beta_zero_both_formulas_give_nu(self):
         c = cfg(beta=0.0, n_envs=40, n_paths=100)
         est = dp_dbeta(c)
-        direct = est["direct"]
+        direct = est["dp_dbeta_direct"]
         assert abs(direct.value - c.nu) <= 4.0 * direct.std_error
-        palm = est["palm"]
+        palm = est["dp_dbeta_palm"]
         # palm integrand reduces to nu times the field mass ~ nu + O(h)
         assert abs(palm.value - c.nu) <= 4.0 * palm.std_error + 0.05 * c.nu
 
     def test_direct_matches_finite_difference(self):
         est = dp_dbeta(cfg(n_envs=30, n_paths=300))
-        direct, fd = est["direct"], est["finite_difference"]
+        direct, fd = est["dp_dbeta_direct"], est["dp_dbeta_finite_difference"]
         assert abs(direct.value - fd.value) <= 3.0 * combined_se(direct, fd) + 1e-4
 
     def test_direct_matches_palm_within_quadrature(self):
         c = cfg(n_envs=30, n_paths=300)
         est = dp_dbeta(c)
-        direct, palm = est["direct"], est["palm"]
+        direct, palm = est["dp_dbeta_direct"], est["dp_dbeta_palm"]
         allowance = 0.05 * c.nu * math.exp(c.beta)
         assert abs(direct.value - palm.value) <= \
             3.0 * combined_se(direct, palm) + allowance
@@ -116,13 +120,13 @@ class TestDpDbeta:
 class TestDpDnu:
     def test_beta_zero_exact(self):
         est = dp_dnu(cfg(beta=0.0, n_envs=5, n_paths=40))
-        for form in ("field", "coupled_fd"):
+        for form in ("dp_dnu_field", "dp_dnu_coupled_fd"):
             assert est[form].value == 0.0
             assert est[form].std_error == 0.0
 
     def test_envelope(self):
         c = cfg(beta=1.0, n_envs=30, n_paths=300)
-        est = dp_dnu(c)["field"]
+        est = dp_dnu(c)["dp_dnu_field"]
         quad_slack = 0.05
         assert est.value >= c.beta * (1.0 - quad_slack) - 3.0 * est.std_error
         assert est.value <= annealed_rate(c.beta) * (1.0 + quad_slack) \
@@ -131,7 +135,7 @@ class TestDpDnu:
     def test_matches_coupled_difference(self):
         c = cfg(beta=1.0, n_envs=60, n_paths=400)
         est = dp_dnu(c)
-        field_form, coupled = est["field"], est["coupled_fd"]
+        field_form, coupled = est["dp_dnu_field"], est["dp_dnu_coupled_fd"]
         tol = 3.0 * combined_se(field_form, coupled) + 0.05 * annealed_rate(c.beta)
         assert abs(field_form.value - coupled.value) <= tol
 
@@ -140,22 +144,39 @@ class TestDpDnu:
             dp_dnu(cfg(), eps=2.0)
 
 
+class TestDerivativeIntegrands:
+    # field values, the last one a roundoff above a probability of one
+    M = np.array([0.0, 1e-300, 1e-12, 1e-3, 0.25, 0.5, 0.75, 1.0 - 2.0 ** -52, 1.0,
+                  1.0 + 2.0 ** -52])
+
+    @pytest.mark.parametrize("beta", [-350.0, -40.0, -36.0, -10.0])
+    def test_negative_beta_against_mpmath(self, beta):
+        # expm1(beta) rounds to -1 below about -37, so 1 + lambda m cancels
+        # at m = 1; 400 digits keep e^-350 in the exact reference
+        palm, log_tilt = self.M / _tilt(beta, self.M), _log_tilt(beta, self.M)
+        with mp.workdps(400):
+            for m, got_palm, got_log in zip(self.M, palm, log_tilt):
+                tilt = 1 + mp.expm1(beta) * mp.mpf(min(m, 1.0))
+                assert got_palm == pytest.approx(float(m / tilt), rel=2e-15, abs=0)
+                assert got_log == pytest.approx(float(mp.log(tilt)), rel=2e-15, abs=0)
+
+
 class TestNuMonotonicity:
     def test_equal_intensities_zero(self):
         res = nu_monotonicity(cfg(n_envs=5, n_paths=40), nu_lo=1.0)
-        assert res.difference.value == 0.0
-        assert res.lower.value == 0.0 and res.upper.value == 0.0
+        assert res["difference"].value == 0.0
+        assert res["lower"].value == 0.0 and res["upper"].value == 0.0
 
     def test_beta_zero_zero_difference(self):
         res = nu_monotonicity(cfg(beta=0.0, nu=2.0, n_envs=5, n_paths=40), nu_lo=1.0)
-        assert res.difference.value == 0.0
-        assert res.lower.value == 0.0
-        assert res.upper.value == pytest.approx(0.0, abs=1e-15)
+        assert res["difference"].value == 0.0
+        assert res["lower"].value == 0.0
+        assert res["upper"].value == pytest.approx(0.0, abs=1e-15)
 
     def test_coupled_slacks_nonnegative(self):
         res = nu_monotonicity(cfg(beta=1.0, nu=2.0, n_envs=40, n_paths=300), nu_lo=1.0)
-        assert res.lower.value >= -3.0 * res.lower.std_error
-        assert res.upper.value >= -3.0 * res.upper.std_error
+        assert res["lower"].value >= -3.0 * res["lower"].std_error
+        assert res["upper"].value >= -3.0 * res["upper"].std_error
 
     def test_invalid_nu_lo(self):
         with pytest.raises(InvalidParameterError):
@@ -166,24 +187,23 @@ class TestNuMonotonicity:
 
 class TestLocalizationScan:
     def test_observables_in_range_and_consistent(self):
-        cells = localization_scan([
-            cfg(beta=b, n_envs=8, n_paths=60, n_steps=16) for b in (0.0, 1.0)])
+        cells = [localization_scan(cfg(beta=b, n_envs=8, n_paths=60, n_steps=16))
+                 for b in (0.0, 1.0)]
         for cell in cells:
-            assert 0.0 <= cell.overlap.value <= 1.0
-            assert 0.0 <= cell.favourite.value <= 1.0
-            assert cell.overlap.value <= cell.favourite.value + 1e-9
-        assert cells[0].ess_min == pytest.approx(60.0, rel=1e-9)
-        assert cells[1].ess_min < 60.0
+            overlap, favourite = cell["replica_overlap"].value, cell["favourite_overlap"].value
+            assert 0.0 <= overlap <= 1.0
+            assert 0.0 <= favourite <= 1.0
+            assert overlap <= favourite + 1e-9
+        ess = [cell["replica_overlap"].diagnostics["ess_min"] for cell in cells]
+        assert ess[0] == pytest.approx(60.0, rel=1e-9)
+        assert ess[1] < 60.0
 
     def test_replay_bitwise(self):
-        run = lambda: localization_scan([cfg(beta=0.7, n_envs=4, n_paths=50,
-                                             n_steps=16)])[0]
+        run = lambda: localization_scan(cfg(beta=0.7, n_envs=4, n_paths=50, n_steps=16))
         a, b = run(), run()
-        assert a.overlap.value == b.overlap.value
-        assert a.favourite.value == b.favourite.value
-        assert a.delta_middle.value == b.delta_middle.value
+        for name in ("replica_overlap", "favourite_overlap", "delta_middle"):
+            assert a[name].value == b[name].value
 
     def test_degenerate_weights_warn(self):
         with pytest.warns(RuntimeWarning, match="degenerate"):
-            localization_scan([cfg(beta=4.0, nu=3.0, n_envs=2, n_paths=150,
-                                   n_steps=16)])
+            localization_scan(cfg(beta=4.0, nu=3.0, n_envs=2, n_paths=150, n_steps=16))
