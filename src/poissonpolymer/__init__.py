@@ -27,7 +27,6 @@ from .analytics import (
 from .environment import (
     PointCloud,
     SpaceTimeBox,
-    count_in_tube,
     sample_poisson,
     superpose,
 )

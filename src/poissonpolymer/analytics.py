@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import jv
 
 from .errors import (
     HypothesisError,
@@ -300,8 +299,9 @@ def bessel_zero(d: int) -> float:
     The root is isolated by a sign scan with step 0.01 starting just above
     zero, then refined by bracketed root-finding to 1e-12.
     """
-    # imported here: scipy.optimize would double the CLI's start-up time
+    # imported here: scipy would triple the CLI's start-up time
     from scipy.optimize import brentq
+    from scipy.special import jv
 
     if d < 1 or int(d) != d:
         raise InvalidParameterError(f"dimension must be a positive integer, got {d}")

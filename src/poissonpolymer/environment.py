@@ -25,8 +25,8 @@ from .geometry import unit_ball_radius
 __all__ = [
     "SpaceTimeBox",
     "PointCloud",
+    "draw_poisson",
     "sample_poisson",
-    "count_in_tube",
     "batch_tube_counts",
     "superpose",
     "slab_indices",
@@ -35,8 +35,13 @@ __all__ = [
 # One chunk's (M, chunk, d) float64 difference array in ``batch_tube_counts``
 # holds at most this many elements (512 KiB): a gather of every live point at
 # once would cost M * n_points * d doubles, hundreds of MB at nu = 100.
-# ``polymer.occupancy_field`` bounds its chunks of stencil entries by it too.
+# ``polymer.occupancy_field`` takes chunks of ``_CHUNK_ELEMENTS // (2R + 1)^d``
+# (slab, path) pairs, so a chunk's stencil bins stay under it too.
 _CHUNK_ELEMENTS = 2 ** 16
+
+# Budget of expected points nu * |box| per cloud (80 MB per coordinate),
+# checked before any allocation so that a huge nu fails naming 'nu'.
+MAX_EXPECTED_POINTS = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -107,19 +112,28 @@ class PointCloud:
         return len(self.times)
 
 
-def sample_poisson(box: SpaceTimeBox, nu: float, rng: np.random.Generator) -> PointCloud:
-    """Homogeneous Poisson cloud of intensity nu on the box.
+def draw_poisson(box: SpaceTimeBox, nu: float, rng: np.random.Generator) -> tuple:
+    """Times and coordinates of a homogeneous Poisson cloud, in draw order.
 
     Draw order is fixed (count, then times, then coordinates) so a given
-    stream always produces bitwise-identical clouds.
+    stream always produces bitwise-identical clouds.  Times fall in
+    (0, t_max] and coordinates in the box by construction.
     """
     if nu < 0:
         raise InvalidParameterError(f"intensity must be nonnegative, got {nu}")
+    if nu * box.volume > MAX_EXPECTED_POINTS:
+        raise InvalidParameterError(f"'nu' = {nu} expects {nu * box.volume:.3g} points, "
+                                    f"above the budget of {MAX_EXPECTED_POINTS:.0e}")
     n = int(rng.poisson(nu * box.volume))
     # times in (0, t_max]: flip the half-open unit sample
     times = box.t_max * (1.0 - rng.random(n))
     lo, hi = np.asarray(box.lo), np.asarray(box.hi)
-    coords = lo + (hi - lo) * rng.random((n, box.d))
+    return times, lo + (hi - lo) * rng.random((n, box.d))
+
+
+def sample_poisson(box: SpaceTimeBox, nu: float, rng: np.random.Generator) -> PointCloud:
+    """Homogeneous Poisson cloud of intensity nu on the box (``draw_poisson``)."""
+    times, coords = draw_poisson(box, nu, rng)
     return PointCloud(times=times, coords=coords, box=box, nu=float(nu))
 
 
@@ -127,13 +141,6 @@ def slab_indices(times: np.ndarray, t: float, n_steps: int) -> np.ndarray:
     """Map point times in (0, t] to their slab index in 0..n_steps-1."""
     dt = t / n_steps
     return np.minimum(np.floor(times / dt).astype(np.int64), n_steps - 1)
-
-
-def count_in_tube(cloud: PointCloud, path: np.ndarray, t: float) -> int:
-    """Number of cloud points inside the tube of one path, shape
-    (n_steps+1, d) on the grid of horizon t (with multiplicity)."""
-    counts = batch_tube_counts(cloud, path[np.newaxis, :, :], t, path.shape[0] - 1)
-    return int(counts[0])
 
 
 def batch_tube_counts(cloud: PointCloud, positions: np.ndarray,

@@ -12,7 +12,9 @@ tests of each path against the bin centers near it (every center farther
 away lies outside the ball), so the only discretization error relative to
 the continuum is grid-max vs continuum-sup and cell sums vs integrals.
 That is what makes the grid two-to-one inequalities below exact (slack
-bounded by roundoff), not merely asymptotic.
+bounded by roundoff), not merely asymptotic.  On the last axis a stencil
+row's inside bins are one run (the distance to the centers falls, then
+rises), so only the ends of the run are tested.
 
 The localization observables are reductions of the field alone, collected
 by ``assert_two_to_one``.  The favourite overlap, the Gibbs-mean fraction
@@ -27,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .environment import _CHUNK_ELEMENTS, PointCloud, batch_tube_counts
 from .errors import InvalidParameterError, InvariantViolationError, WindowCoverageError
@@ -115,9 +116,12 @@ class GibbsEnsemble:
         self.log_z_hat = self.log_z_at(self.beta)
 
     def log_z_at(self, beta: float) -> float:
-        """ln Z_hat with the same Hamiltonians reweighted at ``beta``."""
+        """ln Z_hat with the same Hamiltonians reweighted at ``beta``, in the
+        arithmetic of ``scipy.special.logsumexp``: the m maxima kept out of s."""
         g = beta * self.hamiltonians.astype(float)
-        return float(logsumexp(g) - np.log(self.n_paths))
+        top, m = g.max(), np.count_nonzero(g == g.max())
+        s = np.sum(np.exp(np.where(g == top, -np.inf, g - top)))
+        return float(np.log1p(s / m) + np.log(m) + top - np.log(self.n_paths))
 
     @property
     def n_paths(self) -> int:
@@ -186,10 +190,15 @@ def occupancy_field(ensemble: GibbsEnsemble, h: float) -> OccupancyField:
 
     A ball of radius r_d around the slab position x can only contain centers
     of bins within ceil(r_d / h) of the bin holding x; one more bin on each
-    side absorbs the rounding of that bin index.  Entries are taken slab
-    first, then path, and accumulated by one ``bincount`` per chunk, so every
-    bin adds its paths in increasing path index: bins covered by the same
-    paths hold bit-identical values.
+    side absorbs the rounding of that bin index.  The outer axes test every
+    bin of that stencil.  On the last axis a row's bins share its outer sum
+    ``rows`` and the centers c_j are monotone in j, so the bins passing
+    ``rows + (x - c_j)**2 <= r_d**2`` form one run.  The chord half-width
+    sqrt(r_d**2 - rows) puts each end within one bin of the true one, so that
+    same test on the end and its outer neighbour finds the exact end.
+    Entries run slab, path, row, bin and are accumulated by one ``bincount``
+    per chunk, so every bin adds its paths in increasing path index: bins
+    covered by the same paths hold bit-identical values.
     """
     if h <= 0:
         raise InvalidParameterError(f"bin width must be positive, got {h}")
@@ -206,25 +215,35 @@ def occupancy_field(ensemble: GibbsEnsemble, h: float) -> OccupancyField:
     w = ensemble.normalized_weights
     values = np.zeros((n, n_bins))
     chunk = max(1, _CHUNK_ELEMENTS // len(offsets) ** d)
+    last = np.append(centers[:shape[-1], -1], np.inf)  # bins -1 and shape[-1] read the inf
     # (slab, path) pairs in slab-major order, a chunk of pairs at a time
     for start in range(0, n * n_paths, chunk):
         pair = np.arange(start, min(start + chunk, n * n_paths))
         slab, path = np.divmod(pair, n_paths)
         x = ensemble.positions[path, slab, :]
         k0, k1 = slab[0], slab[-1] + 1
-        # per axis: candidate bin indices and squared distances to their centers
-        idx = np.floor((x - lo) / h).astype(np.int64)[:, :, np.newaxis] + offsets
-        sq = (x[:, :, np.newaxis] - (lo[:, np.newaxis] + (idx + 0.5) * h)) ** 2
-        sq[(idx < 0) | (idx >= shape[:, np.newaxis])] = np.inf
-        dist2 = sq[:, 0]
-        flat = ((slab - k0) * n_bins)[:, np.newaxis] + idx[:, 0] * strides[0]
-        for i in range(1, d):
+        # outer axes: candidate bin indices and squared distances to their centers
+        idx = np.floor((x[:, :-1] - lo[:-1]) / h).astype(np.int64)[:, :, np.newaxis] + offsets
+        sq = (x[:, :-1, np.newaxis] - (lo[:-1, np.newaxis] + (idx + 0.5) * h)) ** 2
+        sq[(idx < 0) | (idx >= shape[:-1, np.newaxis])] = np.inf
+        rows, flat = np.zeros(len(pair)), (slab - k0) * n_bins
+        for i in range(d - 1):
             axis_shape = (len(pair),) + (1,) * i + (len(offsets),)
-            dist2 = dist2[..., np.newaxis] + sq[:, i].reshape(axis_shape)
+            rows = rows[..., np.newaxis] + sq[:, i].reshape(axis_shape)
             flat = flat[..., np.newaxis] + (idx[:, i] * strides[i]).reshape(axis_shape)
-        keep = (dist2 <= r * r).reshape(len(pair), -1)
-        weights = np.repeat(w[path], keep.sum(axis=1))
-        values[k0:k1] += np.bincount(flat.reshape(len(pair), -1)[keep], weights=weights,
+        # last axis: each row's run of inside bins, its estimated ends made exact
+        xl = x[:, -1].reshape((-1,) + (1,) * (d - 1))
+        half = np.sqrt(np.maximum(r * r - rows, 0.0))
+        jl = np.clip(np.ceil((xl - half - lo[-1]) / h - 0.5), 0, shape[-1]).astype(np.int64)
+        jr = np.clip(np.floor((xl + half - lo[-1]) / h - 0.5), -1, shape[-1] - 1).astype(np.int64)
+        inside = rows + (xl - last[np.stack([jl - 1, jl, jr, jr + 1])]) ** 2 <= r * r
+        jl = np.where(inside[0], jl - 1, np.where(inside[1], jl, jl + 1))
+        jr = np.where(inside[3], jr + 1, np.where(inside[2], jr, jr - 1))
+        count = np.maximum(jr - jl + 1, 0).ravel()
+        skip = np.cumsum(count) - count  # entries before each row
+        bins = np.arange(count.sum()) + np.repeat((flat + jl).ravel() - skip, count)
+        weights = np.repeat(w[path], count.reshape(len(pair), -1).sum(axis=1))
+        values[k0:k1] += np.bincount(bins, weights=weights,
                                      minlength=(k1 - k0) * n_bins).reshape(k1 - k0, n_bins)
     time_mass = values.sum(axis=1) * h ** d
     return OccupancyField(h=h, centers=centers, values=values, time_mass=time_mass)

@@ -3,7 +3,8 @@
 None of these is used by the library itself: each one recomputes a quantity
 the program obtains another way (the occupancy field, the grid replica
 overlap, the favourite overlap, tube counts, the added-point reweighting)
-by the slowest obvious route.
+by the slowest obvious route, or by the library's own earlier route where
+the test is bit-for-bit equality.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import betainc
 
-from poissonpolymer.environment import PointCloud
+from poissonpolymer.environment import _CHUNK_ELEMENTS, PointCloud, batch_tube_counts
 from poissonpolymer.errors import InvalidParameterError
 from poissonpolymer.geometry import unit_ball_radius
 
@@ -57,6 +58,57 @@ def occupancy_field_dense(ensemble, h: float) -> np.ndarray:
         diff = ensemble.positions[:, k, :, np.newaxis] - centers.T[np.newaxis, :, :]
         values[k] = w @ (np.einsum("mdb,mdb->mb", diff, diff) <= r2)
     return values
+
+
+def occupancy_field_candidates(ensemble, h: float,
+                               chunk_elements: int = _CHUNK_ELEMENTS) -> np.ndarray:
+    """Field values (n_steps, B) from ball tests of every candidate bin.
+
+    Each (slab, path) pair is tested against all ``(2R + 1)^d`` bins around
+    the bin holding it, ``R = ceil(r_d / h) + 1``, and the kept entries, in
+    slab, path, stencil-offset order, feed one ``bincount`` per chunk of
+    ``chunk_elements // (2R + 1)^d`` pairs.  ``occupancy_field`` tests only
+    the ends of each row's run of inside bins but keeps these entries, their
+    order and the chunks, so it must equal this bit for bit.
+    """
+    d, n, n_paths = ensemble.d, ensemble.grid.n_steps, ensemble.n_paths
+    lo = np.asarray(ensemble.box.lo)
+    shape = np.array([int(np.ceil((b - a) / h))
+                      for a, b in zip(ensemble.box.lo, ensemble.box.hi)])
+    n_bins = int(np.prod(shape))
+    strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)
+    r = unit_ball_radius(d)
+    reach = int(np.ceil(r / h)) + 1
+    offsets = np.arange(-reach, reach + 1)
+    w = ensemble.normalized_weights
+    values = np.zeros((n, n_bins))
+    chunk = max(1, chunk_elements // len(offsets) ** d)
+    for start in range(0, n * n_paths, chunk):
+        pair = np.arange(start, min(start + chunk, n * n_paths))
+        slab, path = np.divmod(pair, n_paths)
+        x = ensemble.positions[path, slab, :]
+        k0, k1 = slab[0], slab[-1] + 1
+        idx = np.floor((x - lo) / h).astype(np.int64)[:, :, np.newaxis] + offsets
+        sq = (x[:, :, np.newaxis] - (lo[:, np.newaxis] + (idx + 0.5) * h)) ** 2
+        sq[(idx < 0) | (idx >= shape[:, np.newaxis])] = np.inf
+        dist2 = sq[:, 0]
+        flat = ((slab - k0) * n_bins)[:, np.newaxis] + idx[:, 0] * strides[0]
+        for i in range(1, d):
+            axis_shape = (len(pair),) + (1,) * i + (len(offsets),)
+            dist2 = dist2[..., np.newaxis] + sq[:, i].reshape(axis_shape)
+            flat = flat[..., np.newaxis] + (idx[:, i] * strides[i]).reshape(axis_shape)
+        keep = (dist2 <= r * r).reshape(len(pair), -1)
+        weights = np.repeat(w[path], keep.sum(axis=1))
+        values[k0:k1] += np.bincount(flat.reshape(len(pair), -1)[keep], weights=weights,
+                                     minlength=(k1 - k0) * n_bins).reshape(k1 - k0, n_bins)
+    return values
+
+
+def count_in_tube(cloud: PointCloud, path: np.ndarray, t: float) -> int:
+    """Number of cloud points inside the tube of one path, shape
+    (n_steps+1, d) on the grid of horizon t (with multiplicity)."""
+    counts = batch_tube_counts(cloud, path[np.newaxis, :, :], t, path.shape[0] - 1)
+    return int(counts[0])
 
 
 def replica_overlap_pairwise(ensemble) -> float:

@@ -178,6 +178,14 @@ class TestSimulate:
         assert main(["simulate", str(config), "--out", str(tmp_path / "o")]) == 2
         assert f"'{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["quenched", "annealed"])
+    def test_intensity_above_point_budget_names_nu(self, tmp_path, capsys, mode):
+        # 1e9 points per unit volume would take tens of GiB before any check
+        kept = [line for line in MINIMAL.splitlines() if not line.startswith(("nu ", "mode "))]
+        config = write_config(tmp_path, "\n".join(kept) + f"\nnu = 1e9\nmode = {mode}\n")
+        assert main(["simulate", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert "'nu'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("mode", ["quenched", "annealed", "localization"])
     def test_single_replicate_has_no_standard_error(self, tmp_path, mode):
         text = MINIMAL.replace("beta = 0", "beta = 0.5").replace("n_envs = 4", "n_envs = 1")
@@ -347,8 +355,9 @@ class TestAnalytic:
 
 
 def test_cli_import_skips_scipy_optimize():
-    # scipy.optimize would double a fresh interpreter's start-up time
+    # scipy.special and scipy.optimize would more than double a fresh
+    # interpreter's start-up time
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     code = ("import sys, poissonpolymer.cli; "
-            "sys.exit('scipy.optimize' in sys.modules)")
+            "sys.exit('scipy.optimize' in sys.modules or 'scipy.special' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

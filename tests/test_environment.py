@@ -5,12 +5,12 @@ import pytest
 from scipy import stats
 
 import poissonpolymer.environment as environment
-from oracles import add_palm_point, tube_indicator
+from oracles import add_palm_point, count_in_tube, tube_indicator
 from poissonpolymer.environment import (
+    MAX_EXPECTED_POINTS,
     PointCloud,
     SpaceTimeBox,
     batch_tube_counts,
-    count_in_tube,
     sample_poisson,
     slab_indices,
     superpose,
@@ -47,6 +47,13 @@ class TestSampling:
     def test_negative_intensity_rejected(self):
         with pytest.raises(InvalidParameterError):
             sample_poisson(BOX1, -1.0, substream(0, "cloud", 0))
+
+    def test_point_budget_refused_naming_nu(self):
+        # the refusal comes before any draw, so nothing of size nu |box| is built
+        nu = 2.0 * MAX_EXPECTED_POINTS / BOX1.volume
+        with pytest.raises(InvalidParameterError, match="'nu'"):
+            sample_poisson(BOX1, nu, substream(0, "cloud", 0))
+        assert sample_poisson(BOX1, 1e-3 * nu, substream(0, "cloud", 0)).n_points > 0
 
     def test_count_mean_and_variance(self):
         # nu = 2, |box| = 10: mean count 20 over 1e4 draws within 4 SE,

@@ -4,7 +4,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from oracles import count_in_tube
 from poissonpolymer.analytics import annealed_rate
+from poissonpolymer.environment import SpaceTimeBox, sample_poisson
 from poissonpolymer.errors import InvalidParameterError
 from poissonpolymer.estimators import (
     ExperimentConfig,
@@ -17,6 +19,9 @@ from poissonpolymer.estimators import (
     nu_monotonicity,
     quenched_free_energy,
 )
+from poissonpolymer.geometry import unit_ball_radius
+from poissonpolymer.polymer import WINDOW_MARGIN
+from poissonpolymer.streams import substream
 
 
 def cfg(**kwargs):
@@ -91,6 +96,23 @@ class TestAnnealedFreeEnergy:
         target = 2.0 * annealed_rate(-1.0)
         assert target == pytest.approx(-1.26424, abs=1e-5)
         assert abs(est.value - target) <= 3.0 * est.std_error
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_counts_match_tube_counts_of_sorted_clouds(self, d):
+        # the estimator counts |x| <= r_d on the unsorted draws; the same
+        # substreams through PointCloud and the tube count of the zero path
+        # must give the same counts, hence the same estimate bit for bit
+        c = cfg(d=d, beta=0.5, nu=1.5, t=2.0, n_steps=16, n_envs=1000, seed=8)
+        r = unit_ball_radius(d)
+        box = SpaceTimeBox(t_max=c.t, lo=(-r - WINDOW_MARGIN,) * d,
+                           hi=(r + WINDOW_MARGIN,) * d)
+        counts = np.array([count_in_tube(sample_poisson(box, c.nu, substream(c.seed, "cloud", i)),
+                                         np.zeros((c.n_steps + 1, d)), c.t)
+                           for i in range(c.n_envs)])
+        assert counts.min() < counts.max()
+        g = c.beta * counts.astype(float)
+        expected = (g.max() + math.log(float(np.exp(g - g.max()).mean()))) / c.t
+        assert annealed_free_energy(c)["annealed_free_energy"].value == expected
 
 
 class TestDpDbeta:

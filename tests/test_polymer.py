@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import logsumexp
 
 from conftest import random_ensemble
 from oracles import (
     add_palm_point,
     favourite_overlap_pathwise,
+    occupancy_field_candidates,
     occupancy_field_dense,
     replica_overlap_pairwise,
 )
@@ -20,6 +22,7 @@ from poissonpolymer.errors import (
 )
 from poissonpolymer.geometry import unit_ball_radius
 from poissonpolymer.polymer import (
+    GibbsEnsemble,
     OccupancyField,
     TimeGrid,
     assert_two_to_one,
@@ -53,6 +56,27 @@ def tight_ensemble(d, n_paths, seed=0, t=1.0, n_steps=8):
     box = SpaceTimeBox(t_max=t, lo=lo, hi=hi)
     cloud = sample_poisson(box, 2.0, substream(seed, "cloud", 0))
     return build_ensemble(positions, grid, cloud, beta=0.8)
+
+
+def edge_ensemble(d, h, rng, n_steps=6, n_paths=9):
+    """Paths whose coordinates sit exactly at, r_d from, r_d / sqrt(d) from
+    or near bin centers, each possibly moved by one ulp, on a window that
+    they reach: the inputs where a ball test is decided by rounding."""
+    r = unit_ball_radius(d)
+    lo = rng.uniform(-3.0, 3.0, d)
+    hi = lo + rng.uniform(2.0 * r, 6.0 * r, d)
+    shape = np.ceil((hi - lo) / h).astype(int)
+    centers = lo + (rng.integers(-1, shape + 1, size=(n_paths, n_steps + 1, d)) + 0.5) * h
+    kind = rng.integers(0, 6, size=centers.shape)
+    offset = np.select([kind == 0, kind == 1, kind == 2, kind == 3, kind == 4],
+                       [r, -r, r / math.sqrt(d), rng.uniform(-h, h, centers.shape), 0.0],
+                       rng.uniform(-r, r, centers.shape))
+    x = centers + offset
+    ulp = rng.integers(-1, 2, size=x.shape)
+    x = np.where(ulp == 0, x, np.nextafter(x, np.where(ulp > 0, np.inf, -np.inf)))
+    box = SpaceTimeBox(t_max=1.0, lo=tuple(lo), hi=tuple(hi))
+    return GibbsEnsemble(np.clip(x, lo, hi), TimeGrid(1.0, n_steps),
+                         rng.integers(0, 4, n_paths), 0.7, box)
 
 
 def assert_matches_dense(ens, h):
@@ -123,6 +147,19 @@ class TestGibbsEnsemble:
         assert math.isfinite(ens.log_z_hat)
         assert abs(ens.normalized_weights.sum() - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("beta", [0.0, 0.7, -1.3, 350.0, -350.0])
+    def test_log_z_is_scipy_logsumexp_bit_for_bit(self, beta):
+        # a plain shifted log-sum-exp differs from scipy's in the last bit
+        # on about one random Hamiltonian vector in twenty
+        rng = np.random.default_rng(17)
+        cases = [rng.poisson(rng.uniform(0.5, 20.0), rng.integers(2, 600)) for _ in range(60)]
+        cases += [rng.integers(0, 3, 200), np.full(50, 4), np.array([7])]  # ties, M = 1
+        box = SpaceTimeBox(t_max=1.0, lo=(-1.0,), hi=(1.0,))
+        for hams in cases:
+            ens = GibbsEnsemble(np.zeros((len(hams), 2, 1)), TimeGrid(1.0, 1), hams, 0.0, box)
+            expected = float(logsumexp(beta * hams.astype(float)) - np.log(len(hams)))
+            assert ens.log_z_at(beta) == expected
+
     def test_window_violation_fails_loudly(self):
         grid = TimeGrid(1.0, 4)
         tight = SpaceTimeBox(t_max=1.0, lo=(-0.3,), hi=(0.3,))
@@ -176,6 +213,24 @@ class TestOccupancyField:
         monkeypatch.setattr(polymer, "_CHUNK_ELEMENTS", 7 * 11 ** d)
         ens = tight_ensemble(d, 24, seed=50 + d)
         assert_matches_dense(ens, unit_ball_radius(d) / 4.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_equals_candidate_kernel_bit_for_bit(self, d, monkeypatch):
+        # finding each row's run of inside bins must keep the entries and
+        # their order of testing every candidate bin; h runs past r_d and
+        # the chunk bound down to one pair per chunk
+        rng = np.random.default_rng(70 + d)
+        chunks = (polymer._CHUNK_ELEMENTS, 1, 7 * 11 ** d, 50)
+        filled = 0
+        for case in range(60):
+            h = (0.1, 0.25, 0.3, 0.5, 1.0, 1.3, 2.5)[case % 7] * unit_ball_radius(d)
+            chunk = chunks[case % 4]
+            ens = edge_ensemble(d, h, rng)
+            monkeypatch.setattr(polymer, "_CHUNK_ELEMENTS", chunk)
+            values = occupancy_field(ens, h).values
+            filled += values.any()
+            assert np.array_equal(values, occupancy_field_candidates(ens, h, chunk)), case
+        assert filled >= 50
 
     @pytest.mark.parametrize("d, seed, n_paths", [(1, 3, 500), (1, 4, 60), (2, 1, 500)])
     def test_same_paths_give_bit_identical_values(self, d, seed, n_paths):
