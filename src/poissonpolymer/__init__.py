@@ -42,14 +42,12 @@ from .estimators import (
 )
 from .geometry import unit_ball_radius
 from .polymer import (
-    DeltaSets,
     GibbsEnsemble,
     OccupancyField,
     TimeGrid,
     TwoToOneReport,
     assert_two_to_one,
     build_ensemble,
-    delta_sets,
     occupancy_field,
     sample_paths,
 )

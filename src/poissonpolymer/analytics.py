@@ -114,12 +114,30 @@ def _check_unit_interval(u, name: str) -> np.ndarray:
     return np.clip(u_arr, 0.0, 1.0)
 
 
+def _tilt(beta: float, m: np.ndarray) -> np.ndarray:
+    """1 + (e^beta - 1) m: the factor by which a point with occupancy m
+    changes Z.  For beta < 0 it is formed as (1 - m) + e^beta m with m
+    clipped to at most 1, because where expm1(beta) rounds to -1 the direct
+    form cancels to zero, or below it where roundoff lifts m above 1."""
+    if beta >= 0:
+        return 1.0 + math.expm1(beta) * m
+    m = np.minimum(m, 1.0)
+    return (1.0 - m) + math.exp(beta) * m
+
+
+def _log_tilt(beta: float, m: np.ndarray) -> np.ndarray:
+    """ln _tilt(beta, m).  log1p of lambda m has full relative precision
+    where lambda m > -1/2, which is everywhere for beta >= 0; below that the
+    log of the cancellation-free tilt has."""
+    x = math.expm1(beta) * m
+    return np.where(x > -0.5, np.log1p(np.maximum(x, -0.5)), np.log(_tilt(beta, m)))
+
+
 def drift_gap_integrand(beta: float, u) -> float | np.ndarray:
-    """lambda (u - u^2) / (1 + lambda u): integrand of the beta-derivative of
+    """lambda u (1 - u) / (1 + lambda u): integrand of the beta-derivative of
     the quenched free energy above its linear lower envelope."""
     u_arr = _check_unit_interval(u, "occupancy")
-    lam = math.expm1(beta)
-    out = lam * (u_arr - u_arr * u_arr) / (1.0 + lam * u_arr)
+    out = math.expm1(beta) * (u_arr * (1.0 - u_arr)) / _tilt(beta, u_arr)
     return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out
 
 
@@ -127,8 +145,7 @@ def annealed_gap_integrand(beta: float, u) -> float | np.ndarray:
     """e^beta lambda u^2 / (1 + lambda u): integrand of the beta-derivative of
     the annealed-minus-quenched gap."""
     u_arr = _check_unit_interval(u, "occupancy")
-    lam = math.expm1(beta)
-    out = math.exp(beta) * lam * u_arr * u_arr / (1.0 + lam * u_arr)
+    out = math.exp(beta) * math.expm1(beta) * u_arr * u_arr / _tilt(beta, u_arr)
     return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out
 
 

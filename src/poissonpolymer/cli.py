@@ -46,7 +46,8 @@ from .analytics import (
     drift_gap_integrand,
     in_l2_region,
 )
-from .errors import ConfigError, InvariantViolationError
+from .errors import (ConfigError, HypothesisError, InvalidParameterError,
+                     InvalidQueryError, InvariantViolationError)
 from .estimators import (
     BETA_LIMIT,
     ExperimentConfig,
@@ -234,18 +235,23 @@ def _write_outputs(out_dir: Path, rows: list[dict], config_text: str,
 
 
 def _load_config_text(args) -> str:
-    if args.from_manifest:
-        try:
-            manifest = json.loads(Path(args.from_manifest).read_text())
-        except json.JSONDecodeError:
-            manifest = None
-        if not isinstance(manifest, dict) or not isinstance(manifest.get("config_text"), str):
-            raise ConfigError(f"manifest {args.from_manifest} is not a JSON object "
-                              "with a string key 'config_text'")
-        return manifest["config_text"]
-    if args.config is None:
+    path = args.from_manifest or args.config
+    if path is None:
         raise ConfigError("either a config file or --from-manifest is required")
-    return Path(args.config).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text") from exc
+    if not args.from_manifest:
+        return text
+    try:
+        manifest = json.loads(text)
+    except json.JSONDecodeError:
+        manifest = None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("config_text"), str):
+        raise ConfigError(f"manifest {path} is not a JSON object "
+                          "with a string key 'config_text'")
+    return manifest["config_text"]
 
 
 def _cmd_experiment(args, sweep: bool) -> int:
@@ -423,7 +429,8 @@ def main(argv=None) -> int:
     except InvariantViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, InvalidParameterError, HypothesisError, InvalidQueryError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -69,12 +69,8 @@ class SpaceTimeBox:
         return len(self.lo)
 
     @property
-    def space_volume(self) -> float:
-        return float(np.prod(np.asarray(self.hi) - np.asarray(self.lo)))
-
-    @property
     def volume(self) -> float:
-        return self.t_max * self.space_volume
+        return self.t_max * float(np.prod(np.asarray(self.hi) - np.asarray(self.lo)))
 
 
 def _canonical_order(times: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -85,12 +81,11 @@ def _canonical_order(times: np.ndarray, coords: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PointCloud:
-    """Finite realization of the medium inside a box, with its intensity."""
+    """Finite realization of the medium inside a box."""
 
     times: np.ndarray
     coords: np.ndarray
     box: SpaceTimeBox
-    nu: float
 
     def __post_init__(self):
         times = np.atleast_1d(np.asarray(self.times, dtype=float))
@@ -134,7 +129,7 @@ def draw_poisson(box: SpaceTimeBox, nu: float, rng: np.random.Generator) -> tupl
 def sample_poisson(box: SpaceTimeBox, nu: float, rng: np.random.Generator) -> PointCloud:
     """Homogeneous Poisson cloud of intensity nu on the box (``draw_poisson``)."""
     times, coords = draw_poisson(box, nu, rng)
-    return PointCloud(times=times, coords=coords, box=box, nu=float(nu))
+    return PointCloud(times=times, coords=coords, box=box)
 
 
 def slab_indices(times: np.ndarray, t: float, n_steps: int) -> np.ndarray:
@@ -165,9 +160,9 @@ def batch_tube_counts(cloud: PointCloud, positions: np.ndarray,
 
 
 def superpose(cloud_a: PointCloud, cloud_b: PointCloud) -> PointCloud:
-    """Multiset union of two clouds on the same box; intensities add."""
+    """Multiset union of two clouds on the same box; Poisson intensities add."""
     if cloud_a.box != cloud_b.box:
         raise IncompatibleBoxError("clouds live on different boxes")
     return PointCloud(times=np.concatenate([cloud_a.times, cloud_b.times]),
                       coords=np.concatenate([cloud_a.coords, cloud_b.coords]),
-                      box=cloud_a.box, nu=cloud_a.nu + cloud_b.nu)
+                      box=cloud_a.box)

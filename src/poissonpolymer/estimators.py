@@ -30,11 +30,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analytics import _log_tilt, _tilt
 from .environment import SpaceTimeBox, draw_poisson, sample_poisson, superpose
 from .errors import InvalidParameterError
 from .geometry import unit_ball_radius
 from .polymer import (
-    GibbsEnsemble,
+    MAX_PATH_ELEMENTS,
     TimeGrid,
     WINDOW_MARGIN,
     assert_two_to_one,
@@ -88,8 +89,9 @@ class ExperimentConfig:
 
     ``n_paths`` paths per environment, ``n_envs`` independent environments;
     ``bin_width`` defaults to r_d / 4.  Desk-scale defaults target d = 1,
-    t <= 8 with n_steps = 64 t.  ``|beta|`` is at most ``BETA_LIMIT``.
-    An invalid value raises ``InvalidParameterError`` naming its key.
+    t <= 8 with n_steps = 64 t.  ``|beta|`` is at most ``BETA_LIMIT``, and
+    the path stack at most ``polymer.MAX_PATH_ELEMENTS`` doubles.  An
+    invalid value raises ``InvalidParameterError`` naming its key.
     """
 
     d: int
@@ -124,6 +126,11 @@ class ExperimentConfig:
         require("n_envs", self.n_envs >= 1)
         require("bin_width", self.bin_width > 0)
         require("delta", 0.0 < self.delta <= 0.5)
+        stack = self.n_paths * (self.n_steps + 1) * self.d
+        if stack > MAX_PATH_ELEMENTS:
+            raise InvalidParameterError(
+                f"'paths_per_env' * ('n_steps' + 1) * d = {stack:.3g} path elements, "
+                f"above the budget of {MAX_PATH_ELEMENTS:.0e}")
 
     @property
     def grid(self) -> TimeGrid:
@@ -148,7 +155,7 @@ def _over_environments(cfg: ExperimentConfig, reduce, nus=None, extra_nu=None):
     for i in range(cfg.n_envs):
         positions = sample_paths(grid, cfg.d, cfg.n_paths,
                                  substream(cfg.seed, "paths", i))
-        lo, hi = bounding_box_for(positions, cfg.t, WINDOW_MARGIN)
+        lo, hi = bounding_box_for(positions, WINDOW_MARGIN)
         box = SpaceTimeBox(t_max=cfg.t, lo=lo, hi=hi)
         clouds = [sample_poisson(box, nu, substream(cfg.seed, "cloud", i))
                   for nu in (nus or (cfg.nu,))]
@@ -166,23 +173,11 @@ def _over_environments(cfg: ExperimentConfig, reduce, nus=None, extra_nu=None):
     return [np.array(column) for column in zip(*rows)], ess_min
 
 
-def _checked_field(cfg: ExperimentConfig, i: int, ens: GibbsEnsemble):
+def _checked_field(cfg: ExperimentConfig, i: int, ens):
     """Occupancy field of replicate i and the report of its re-asserted grid
     inequalities, which carries the field's overlaps and delta sets."""
     fld = occupancy_field(ens, cfg.bin_width)
     return fld, assert_two_to_one(fld, cfg.delta, seed=cfg.seed, replicate=i)
-
-
-def _log_z_jackknife(ensemble: GibbsEnsemble) -> tuple[float, float]:
-    """(jackknife-corrected ln Z_hat, estimated bias of the raw value)."""
-    m = ensemble.n_paths
-    raw = ensemble.log_z_hat
-    if m < 2:
-        return raw, 0.0
-    w = np.minimum(ensemble.normalized_weights, 1.0 - 1e-15)
-    loo = raw + math.log(m) + np.log1p(-w) - math.log(m - 1)
-    bias = (m - 1) * (float(loo.mean()) - raw)
-    return raw - bias, bias
 
 
 def quenched_free_energy(cfg: ExperimentConfig) -> dict[str, EstimateWithError]:
@@ -193,7 +188,7 @@ def quenched_free_energy(cfg: ExperimentConfig) -> dict[str, EstimateWithError]:
     bias plus the worst effective sample size are reported as diagnostics.
     """
     (values, biases), ess_min = _over_environments(
-        cfg, lambda i, ens: tuple(v / cfg.t for v in _log_z_jackknife(ens)))
+        cfg, lambda i, ens: tuple(v / cfg.t for v in ens.log_z_jackknife()))
     diag = {"ess_min": ess_min,
             "ess_degenerate": ess_min < ESS_WARN_FRACTION * cfg.n_paths,
             "jackknife_bias_mean": float(biases.mean())}
@@ -227,25 +222,6 @@ def annealed_free_energy(cfg: ExperimentConfig) -> dict[str, EstimateWithError]:
         value, se, cfg.n_envs, {"target": cfg.nu * math.expm1(cfg.beta)})}
 
 
-def _tilt(beta: float, m: np.ndarray) -> np.ndarray:
-    """1 + (e^beta - 1) m: the factor by which a point with occupancy m
-    changes Z.  For beta < 0 it is formed as (1 - m) + e^beta m with m
-    clipped to at most 1, because where expm1(beta) rounds to -1 the direct
-    form cancels to zero, or below it where roundoff lifts m above 1."""
-    if beta >= 0:
-        return 1.0 + math.expm1(beta) * m
-    m = np.minimum(m, 1.0)
-    return (1.0 - m) + math.exp(beta) * m
-
-
-def _log_tilt(beta: float, m: np.ndarray) -> np.ndarray:
-    """ln _tilt(beta, m).  log1p of lambda m has full relative precision
-    where lambda m > -1/2, which is everywhere for beta >= 0; below that the
-    log of the cancellation-free tilt has."""
-    x = math.expm1(beta) * m
-    return np.where(x > -0.5, np.log1p(np.maximum(x, -0.5)), np.log(_tilt(beta, m)))
-
-
 def dp_dbeta(cfg: ExperimentConfig, eps: float = 0.05) -> dict[str, EstimateWithError]:
     """Beta-derivative of the quenched free energy, three ways, from one pass.
 
@@ -257,10 +233,9 @@ def dp_dbeta(cfg: ExperimentConfig, eps: float = 0.05) -> dict[str, EstimateWith
     """
     def reduce(i, ens):
         fld, _ = _checked_field(cfg, i, ens)
-        integral = float(np.mean(
-            np.sum(fld.values / _tilt(cfg.beta, fld.values), axis=1)) * fld.cell_volume)
-        return (float(ens.normalized_weights @ ens.hamiltonians) / cfg.t,
-                cfg.nu * math.exp(cfg.beta) * integral,
+        palm = fld.integral(fld.values / _tilt(cfg.beta, fld.values))
+        return (ens.mean_h / cfg.t,
+                cfg.nu * math.exp(cfg.beta) * palm,
                 (ens.log_z_at(cfg.beta + eps) - ens.log_z_at(cfg.beta - eps))
                 / (2.0 * eps * cfg.t))
 
@@ -284,8 +259,7 @@ def dp_dnu(cfg: ExperimentConfig, eps: float | None = None) -> dict[str, Estimat
 
     def reduce(i, ens, ens_lo, ens_hi):
         fld, _ = _checked_field(cfg, i, ens)
-        return (float(np.mean(np.sum(_log_tilt(cfg.beta, fld.values), axis=1))
-                      * fld.cell_volume),
+        return (fld.integral(_log_tilt(cfg.beta, fld.values)),
                 (ens_hi.log_z_hat - ens_lo.log_z_hat) / (2.0 * eps * cfg.t))
 
     (field_values, fd_values), ess_min = _over_environments(
@@ -324,9 +298,8 @@ def localization_scan(cfg: ExperimentConfig) -> dict[str, EstimateWithError]:
     """
     def reduce(i, ens):
         report = _checked_field(cfg, i, ens)[1]
-        ds = report.deltas
-        return (report.replica, report.favourite, ds.middle_measure,
-                ds.negligible_in_tube, ds.predominant_out_of_tube)
+        return (report.replica, report.favourite, report.middle, report.negligible,
+                report.predominant)
 
     columns, ess_min = _over_environments(cfg, reduce)
     return {name: _mean_se(values, {"ess_min": ess_min}) for name, values in zip(

@@ -26,6 +26,7 @@ and no tie rule between equal maxima, is needed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,17 +39,20 @@ __all__ = [
     "TimeGrid",
     "GibbsEnsemble",
     "OccupancyField",
-    "DeltaSets",
     "TwoToOneReport",
     "sample_paths",
     "bounding_box_for",
     "build_ensemble",
     "occupancy_field",
-    "delta_sets",
     "assert_two_to_one",
 ]
 
 WINDOW_MARGIN = 0.5
+
+# Budgets checked before allocating (800 MB of doubles each): the path stack
+# M (n_steps + 1) d, at most about 5e5 at desk scale, and the field n_steps B, 2e5.
+MAX_PATH_ELEMENTS = 10 ** 8
+MAX_FIELD_BINS = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -68,9 +72,6 @@ class TimeGrid:
     def dt(self) -> float:
         return self.t / self.n_steps
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_steps + 1) * self.dt
-
 
 def sample_paths(grid: TimeGrid, d: int, n_paths: int,
                  rng: np.random.Generator) -> np.ndarray:
@@ -88,8 +89,7 @@ def sample_paths(grid: TimeGrid, d: int, n_paths: int,
     return positions
 
 
-def bounding_box_for(positions: np.ndarray, t: float,
-                     margin: float = WINDOW_MARGIN) -> tuple:
+def bounding_box_for(positions: np.ndarray, margin: float = WINDOW_MARGIN) -> tuple:
     """Spatial window lo/hi covering a path stack inflated by r_d + margin."""
     r = unit_ball_radius(positions.shape[2])
     lo = positions.min(axis=(0, 1)) - (r + margin)
@@ -110,8 +110,8 @@ class GibbsEnsemble:
         self.hamiltonians = np.asarray(hamiltonians, dtype=np.int64)
         self.beta = float(beta)
         self.box = box
-        self.log_weights = self.beta * self.hamiltonians.astype(float)
-        shifted = np.exp(self.log_weights - self.log_weights.max())
+        log_weights = self.beta * self.hamiltonians.astype(float)
+        shifted = np.exp(log_weights - log_weights.max())
         self.normalized_weights = shifted / shifted.sum()
         self.log_z_hat = self.log_z_at(self.beta)
 
@@ -123,6 +123,18 @@ class GibbsEnsemble:
         s = np.sum(np.exp(np.where(g == top, -np.inf, g - top)))
         return float(np.log1p(s / m) + np.log(m) + top - np.log(self.n_paths))
 
+    def log_z_jackknife(self) -> tuple[float, float]:
+        """(jackknife-corrected ln Z_hat, estimated bias of the raw value);
+        leaving path i out rescales Z_hat by (1 - w_i) m / (m - 1)."""
+        m = self.n_paths
+        raw = self.log_z_hat
+        if m < 2:
+            return raw, 0.0
+        w = np.minimum(self.normalized_weights, 1.0 - 1e-15)
+        loo = raw + math.log(m) + np.log1p(-w) - math.log(m - 1)
+        bias = (m - 1) * (float(loo.mean()) - raw)
+        return raw - bias, bias
+
     @property
     def n_paths(self) -> int:
         return self.positions.shape[0]
@@ -130,6 +142,11 @@ class GibbsEnsemble:
     @property
     def d(self) -> int:
         return self.positions.shape[2]
+
+    @property
+    def mean_h(self) -> float:
+        """Gibbs mean of the Hamiltonian."""
+        return float(self.normalized_weights @ self.hamiltonians)
 
     @property
     def ess(self) -> float:
@@ -174,9 +191,10 @@ class OccupancyField:
     values: np.ndarray       # (n_steps, B)
     time_mass: np.ndarray    # (n_steps,)
 
-    @property
-    def cell_volume(self) -> float:
-        return self.h ** self.centers.shape[1]
+    def integral(self, density: np.ndarray) -> float:
+        """Time mean of the cell sums of ``density``, an (n_steps, B) array on
+        these bins: the grid form of a space-time integral over t."""
+        return float(np.mean(np.sum(density, axis=1)) * self.h ** self.centers.shape[1])
 
 
 def _bin_centers(lo: np.ndarray, shape: np.ndarray, h: float) -> np.ndarray:
@@ -204,8 +222,12 @@ def occupancy_field(ensemble: GibbsEnsemble, h: float) -> OccupancyField:
         raise InvalidParameterError(f"bin width must be positive, got {h}")
     d, n, n_paths = ensemble.d, ensemble.grid.n_steps, ensemble.n_paths
     lo = np.asarray(ensemble.box.lo)
-    shape = np.array([int(np.ceil((b - a) / h))
-                      for a, b in zip(ensemble.box.lo, ensemble.box.hi)])
+    shape = np.ceil((np.asarray(ensemble.box.hi) - lo) / h)
+    if n * np.prod(shape) > MAX_FIELD_BINS:
+        raise InvalidParameterError(
+            f"'bin_width' = {h} makes a field of {n * np.prod(shape):.3g} bins, "
+            f"above the budget of {MAX_FIELD_BINS:.0e}")
+    shape = shape.astype(np.int64)
     centers = _bin_centers(lo, shape, h)
     n_bins = centers.shape[0]
     strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)
@@ -250,35 +272,6 @@ def occupancy_field(ensemble: GibbsEnsemble, h: float) -> OccupancyField:
 
 
 @dataclass(frozen=True)
-class DeltaSets:
-    """Grid measures of the mixed, negligible-in-tube and predominant-out
-    regions of the occupancy field."""
-
-    middle_measure: float
-    negligible_in_tube: float
-    predominant_out_of_tube: float
-
-
-def delta_sets(fld: OccupancyField, delta: float) -> DeltaSets:
-    """The three localization set measures at threshold delta in (0, 1/2].
-
-    middle: cell measure of {m in [delta, 1-delta]} per unit time;
-    negligible_in_tube: Gibbs x cell measure of tube cells with m <= delta;
-    predominant_out_of_tube: same with m >= 1-delta and the path outside.
-    The last two collapse to field sums because the Gibbs-weighted tube
-    indicator at a bin center *is* the field value there.
-    """
-    if not (0.0 < delta <= 0.5):
-        raise InvalidParameterError(f"delta must lie in (0, 1/2], got {delta}")
-    m = fld.values
-    cell = fld.cell_volume
-    middle = float(np.mean(np.sum((m >= delta) & (m <= 1.0 - delta), axis=1)) * cell)
-    negligible = float(np.mean(np.sum(m * (m <= delta), axis=1)) * cell)
-    predominant = float(np.mean(np.sum((1.0 - m) * (m >= 1.0 - delta), axis=1)) * cell)
-    return DeltaSets(middle, negligible, predominant)
-
-
-@dataclass(frozen=True)
 class TwoToOneReport:
     """All sides of the exact grid two-to-one inequalities for one field.
 
@@ -292,7 +285,9 @@ class TwoToOneReport:
     favourite: float          # favourite overlap: mean of the per-slab maxima
     gap: float                # time-averaged cell sum of m (1 - m)
     mass_defect: float        # time-averaged |1 - per-slab mass|
-    deltas: DeltaSets
+    middle: float             # cell measure of {delta <= m <= 1 - delta}
+    negligible: float         # Gibbs x cell measure of tube cells with m <= delta
+    predominant: float        # same with m >= 1 - delta and the path outside
     slack_right_mass: float   # sum_b m^2 h^d <= max_b m * slab mass
     slack_one_minus: float    # 1 - favourite <= 1 - replica + mass defect
     slack_middle: float
@@ -315,30 +310,31 @@ def assert_two_to_one(fld: OccupancyField, delta: float, tol: float = 1e-9,
 
     Raises ``InvariantViolationError`` carrying ``seed`` and ``replicate``
     when a slack falls below -tol; otherwise returns the report, which
-    holds the field's replica and favourite overlaps and delta sets.
+    holds the field's replica and favourite overlaps and the three delta-set
+    measures at threshold ``delta`` in (0, 1/2].  The two tube measures are
+    field sums because the Gibbs-weighted tube indicator at a bin center
+    *is* the field value there.
     """
+    if not (0.0 < delta <= 0.5):
+        raise InvalidParameterError(f"delta must lie in (0, 1/2], got {delta}")
     m = fld.values
-    cell = fld.cell_volume
     maxima = m.max(axis=1)
-    r2 = float(np.mean(np.sum(m * m, axis=1)) * cell)
+    r2 = fld.integral(m * m)
     r_star = float(np.mean(maxima))
-    gap = float(np.mean(np.sum(m * (1.0 - m), axis=1)) * cell)
+    gap = fld.integral(m * (1.0 - m))
     mass_defect = float(np.mean(np.abs(1.0 - fld.time_mass)))
-    ds = delta_sets(fld, delta)
-    slack_right = float(np.mean(maxima * fld.time_mass)) - r2
-    slack_one_minus = (1.0 - r2 + mass_defect) - (1.0 - r_star)
-    slack_middle = gap / (delta * (1.0 - delta)) - ds.middle_measure
-    slack_neg = gap / (1.0 - delta) - ds.negligible_in_tube
-    slack_pred = gap / (1.0 - delta) - ds.predominant_out_of_tube
-    slack_left = r2 - 0.5 * r_star ** 2 if fld.centers.shape[1] == 1 else None
-    report = TwoToOneReport(replica=r2, favourite=r_star, gap=gap,
-                            mass_defect=mass_defect, deltas=ds,
-                            slack_right_mass=slack_right,
-                            slack_one_minus=slack_one_minus,
-                            slack_middle=slack_middle,
-                            slack_negligible=slack_neg,
-                            slack_predominant=slack_pred,
-                            slack_left_d1=slack_left)
+    middle = fld.integral((m >= delta) & (m <= 1.0 - delta))
+    negligible = fld.integral(m * (m <= delta))
+    predominant = fld.integral((1.0 - m) * (m >= 1.0 - delta))
+    report = TwoToOneReport(
+        replica=r2, favourite=r_star, gap=gap, mass_defect=mass_defect,
+        middle=middle, negligible=negligible, predominant=predominant,
+        slack_right_mass=float(np.mean(maxima * fld.time_mass)) - r2,
+        slack_one_minus=(1.0 - r2 + mass_defect) - (1.0 - r_star),
+        slack_middle=gap / (delta * (1.0 - delta)) - middle,
+        slack_negligible=gap / (1.0 - delta) - negligible,
+        slack_predominant=gap / (1.0 - delta) - predominant,
+        slack_left_d1=r2 - 0.5 * r_star ** 2 if fld.centers.shape[1] == 1 else None)
     if report.min_slack() < -tol:
         raise InvariantViolationError(
             f"grid two-to-one inequality violated: min slack {report.min_slack():.3e}",

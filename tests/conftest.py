@@ -17,7 +17,7 @@ def random_ensemble(seed, d=1, beta=0.7, nu=1.5, t=2.0, n_steps=32,
     """Small ensemble + field on a covering window, for invariant tests."""
     grid = TimeGrid(t, n_steps)
     positions = sample_paths(grid, d, n_paths, substream(seed, "paths", 0))
-    lo, hi = bounding_box_for(positions, t)
+    lo, hi = bounding_box_for(positions)
     box = SpaceTimeBox(t_max=t, lo=lo, hi=hi)
     cloud = sample_poisson(box, nu, substream(seed, "cloud", 0))
     ensemble = build_ensemble(positions, grid, cloud, beta)

@@ -151,7 +151,7 @@ def add_palm_point(cloud: PointCloud, s: float, x) -> PointCloud:
         raise InvalidParameterError(f"palm point ({s}, {x}) outside the box")
     times = np.concatenate([cloud.times, [float(s)]])
     coords = np.concatenate([cloud.coords, x[np.newaxis, :]])
-    return PointCloud(times=times, coords=coords, box=box, nu=cloud.nu)
+    return PointCloud(times=times, coords=coords, box=box)
 
 
 def favourite_overlap_pathwise(ensemble, centers: np.ndarray) -> float:

@@ -179,6 +179,18 @@ class TestGapIntegrands:
             assert np.all(psi <= upper + 1e-12)
             assert np.all(phi <= math.exp(beta) * lam * u * u + 1e-12)
 
+    @pytest.mark.parametrize("beta", [-20.0, -30.0, -36.0, -40.0])
+    @pytest.mark.parametrize("u", [1.0, 1.0 - 2.0 ** -40, 0.5])
+    def test_strongly_negative_beta_against_mpmath(self, beta, u):
+        # 1 + lambda u cancels as u -> 1 once e^beta is below about 1e-14
+        with mp.workdps(60):
+            lam, u_mp = mp.expm1(beta), mp.mpf(u)
+            tilt = 1 + lam * u_mp
+            psi = float(lam * u_mp * (1 - u_mp) / tilt)
+            phi = float(mp.exp(beta) * lam * u_mp ** 2 / tilt)
+        assert drift_gap_integrand(beta, u) == pytest.approx(psi, rel=1e-12, abs=0)
+        assert annealed_gap_integrand(beta, u) == pytest.approx(phi, rel=1e-12, abs=0)
+
     def test_domain(self):
         with pytest.raises(InvalidParameterError):
             drift_gap_integrand(0.5, 1.5)

@@ -138,6 +138,13 @@ class TestSimulate:
     def test_missing_config_exit_code_2(self, tmp_path):
         assert main(["simulate", "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("flag", [[], ["--from-manifest"]], ids=["config", "manifest"])
+    def test_undecodable_file_exit_code_2(self, tmp_path, capsys, flag):
+        path = tmp_path / "binary"
+        path.write_bytes(b"\xff\xfe\x00")
+        assert main(["simulate", *flag, str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "UTF-8" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", ["{}", "[1, 2]", "not json", '{"config_text": 5}'],
                              ids=["empty-object", "array", "invalid-json", "non-string"])
     def test_malformed_manifest_exit_code_2(self, tmp_path, capsys, text):
@@ -186,6 +193,19 @@ class TestSimulate:
         assert main(["simulate", str(config), "--out", str(tmp_path / "o")]) == 2
         assert "'nu'" in capsys.readouterr().err
 
+    # refused before the (800 MB and up) allocation is attempted
+    @pytest.mark.parametrize("extra,keys", [
+        ("paths_per_env = 1000000\nn_steps = 1000\n", ["'paths_per_env'", "'n_steps'"]),
+        ("paths_per_env = 10\nd = 2\nbin_width = 1e-4\nmode = localization\n",
+         ["'bin_width'"])], ids=["path-stack", "field"])
+    def test_allocation_above_budget_names_key(self, tmp_path, capsys, extra, keys):
+        kept = [line for line in MINIMAL.splitlines()
+                if not line.startswith(("d ", "paths_per_env ", "mode "))]
+        config = write_config(tmp_path, "\n".join(kept) + "\n" + extra)
+        assert main(["simulate", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in keys)
+
     @pytest.mark.parametrize("mode", ["quenched", "annealed", "localization"])
     def test_single_replicate_has_no_standard_error(self, tmp_path, mode):
         text = MINIMAL.replace("beta = 0", "beta = 0.5").replace("n_envs = 4", "n_envs = 1")
@@ -227,6 +247,16 @@ class TestSimulate:
         assert main(["simulate", str(config), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert "seed=9" in err and "replicate=0" in err
+
+    def test_program_error_is_not_a_config_error(self, tmp_path, monkeypatch):
+        # only the library's own input errors exit 2; a bare ValueError is a bug
+        def broken(cfg):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(cli, "quenched_free_energy", broken)
+        with pytest.raises(ValueError, match="broadcast"):
+            main(["simulate", str(write_config(tmp_path, MINIMAL)),
+                  "--out", str(tmp_path / "o")])
 
 
 class TestSweep:
@@ -308,6 +338,13 @@ class TestAnalytic:
         lines = self.run_lines(capsys, "lambda", "--grid", "0,1,3")
         assert len(lines) == 4
         assert float(lines[1].split(",")[1]) == 0.0
+
+    def test_psi_phi_finite_at_strongly_negative_beta(self, capsys):
+        # 1 + lambda u cancels at u = 1 once e^beta is below about 1e-14
+        _, row = self.run_lines(capsys, "psi-phi", "--beta", "-40", "--u", "1")
+        psi, phi = (float(v) for v in row.split(",")[2:])
+        assert psi == 0.0
+        assert phi == pytest.approx(math.expm1(-40.0), rel=1e-12)
 
     def test_hypothesis_error_exit_2(self, capsys):
         code = main(["analytic", "bc-bounds", "--branch", "plus", "--beta0", "0.8",

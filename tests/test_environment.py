@@ -24,10 +24,10 @@ BOX1 = SpaceTimeBox(t_max=2.0, lo=(-1.5,), hi=(1.5,))
 T1 = BOX1.t_max  # horizon of the test paths below
 
 
-def cloud_from_points(points, box=BOX1, nu=1.0):
+def cloud_from_points(points, box=BOX1):
     times = np.array([p[0] for p in points])
     coords = np.array([[p[1]] for p in points])
-    return PointCloud(times=times, coords=coords, box=box, nu=nu)
+    return PointCloud(times=times, coords=coords, box=box)
 
 
 class TestSampling:
@@ -156,7 +156,7 @@ class TestBatchTubeCounts:
     def paths_and_box(d, n_paths, t, n_steps, t_max, seed):
         positions = sample_paths(TimeGrid(t, n_steps), d, n_paths,
                                  substream(seed, "paths", 0))
-        lo, hi = bounding_box_for(positions, t)
+        lo, hi = bounding_box_for(positions)
         return positions, SpaceTimeBox(t_max=t_max, lo=lo, hi=hi)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -172,7 +172,7 @@ class TestBatchTubeCounts:
 
     def test_empty_cloud(self):
         positions, box = self.paths_and_box(2, 4, 1.0, 8, 1.0, seed=55)
-        empty = PointCloud(times=np.empty(0), coords=np.empty((0, 2)), box=box, nu=0.0)
+        empty = PointCloud(times=np.empty(0), coords=np.empty((0, 2)), box=box)
         counts = batch_tube_counts(empty, positions, 1.0, 8)
         assert counts.dtype == np.int64 and np.array_equal(counts, np.zeros(4))
 
@@ -192,7 +192,7 @@ class TestPalmPoint:
     def test_insert_into_empty(self):
         empty = cloud_from_points([])
         one = add_palm_point(empty, 1.0, [0.0])
-        assert one.n_points == 1 and one.nu == empty.nu
+        assert one.n_points == 1 and one.box == empty.box
 
     def test_count_increment_is_indicator(self):
         grid = TimeGrid(2.0, 8)
@@ -225,18 +225,17 @@ class TestPalmPoint:
 class TestSuperpose:
     def test_identity_with_empty(self):
         cloud = sample_poisson(BOX1, 2.0, substream(41, "cloud", 0))
-        empty = PointCloud(times=np.empty(0), coords=np.empty((0, 1)),
-                           box=BOX1, nu=0.0)
+        empty = PointCloud(times=np.empty(0), coords=np.empty((0, 1)), box=BOX1)
         merged = superpose(cloud, empty)
         assert np.array_equal(merged.times, cloud.times)
-        assert merged.nu == cloud.nu
+        assert np.array_equal(merged.coords, cloud.coords)
 
     def test_counts_add(self):
         a = sample_poisson(BOX1, 1.0, substream(42, "cloud", 0))
         b = sample_poisson(BOX1, 2.5, substream(42, "cloud", 1))
         merged = superpose(a, b)
         assert merged.n_points == a.n_points + b.n_points
-        assert merged.nu == pytest.approx(3.5)
+        assert np.array_equal(merged.times, np.sort(np.concatenate([a.times, b.times])))
 
     def test_box_mismatch(self):
         other = SpaceTimeBox(t_max=2.0, lo=(-1.0,), hi=(1.0,))

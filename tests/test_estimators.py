@@ -5,13 +5,11 @@ import numpy as np
 import pytest
 
 from oracles import count_in_tube
-from poissonpolymer.analytics import annealed_rate
+from poissonpolymer.analytics import _log_tilt, _tilt, annealed_rate
 from poissonpolymer.environment import SpaceTimeBox, sample_poisson
 from poissonpolymer.errors import InvalidParameterError
 from poissonpolymer.estimators import (
     ExperimentConfig,
-    _log_tilt,
-    _tilt,
     annealed_free_energy,
     dp_dbeta,
     dp_dnu,

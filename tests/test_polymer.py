@@ -28,7 +28,6 @@ from poissonpolymer.polymer import (
     assert_two_to_one,
     bounding_box_for,
     build_ensemble,
-    delta_sets,
     occupancy_field,
     sample_paths,
 )
@@ -43,7 +42,7 @@ def constant_path_ensemble(xs, beta=0.0, t=2.0, n_steps=8, pad=1.0):
     positions = np.repeat(np.asarray(xs, dtype=float)[:, np.newaxis, np.newaxis],
                           n_steps + 1, axis=1)
     box = SpaceTimeBox(t_max=t, lo=(min(xs) - pad,), hi=(max(xs) + pad,))
-    cloud = PointCloud(times=np.empty(0), coords=np.empty((0, 1)), box=box, nu=0.0)
+    cloud = PointCloud(times=np.empty(0), coords=np.empty((0, 1)), box=box)
     return build_ensemble(positions, grid, cloud, beta)
 
 
@@ -52,7 +51,7 @@ def tight_ensemble(d, n_paths, seed=0, t=1.0, n_steps=8):
     balls reach the edge bins."""
     grid = TimeGrid(t, n_steps)
     positions = sample_paths(grid, d, n_paths, substream(seed, "paths", 0))
-    lo, hi = bounding_box_for(positions, t, margin=0.0)
+    lo, hi = bounding_box_for(positions, margin=0.0)
     box = SpaceTimeBox(t_max=t, lo=lo, hi=hi)
     cloud = sample_poisson(box, 2.0, substream(seed, "cloud", 0))
     return build_ensemble(positions, grid, cloud, beta=0.8)
@@ -135,7 +134,7 @@ class TestGibbsEnsemble:
         grid = TimeGrid(1.0, 4)
         box = SpaceTimeBox(t_max=1.0, lo=(-1.0,), hi=(1.0,))
         cloud = PointCloud(times=np.array([0.5, 0.7]),
-                           coords=np.array([[0.1], [0.3]]), box=box, nu=1.0)
+                           coords=np.array([[0.1], [0.3]]), box=box)
         ens = build_ensemble(np.zeros((1, 5, 1)), grid, cloud, beta=0.7)
         assert ens.hamiltonians[0] == 2
         assert ens.normalized_weights[0] == 1.0
@@ -163,8 +162,7 @@ class TestGibbsEnsemble:
     def test_window_violation_fails_loudly(self):
         grid = TimeGrid(1.0, 4)
         tight = SpaceTimeBox(t_max=1.0, lo=(-0.3,), hi=(0.3,))
-        cloud = PointCloud(times=np.empty(0), coords=np.empty((0, 1)),
-                           box=tight, nu=1.0)
+        cloud = PointCloud(times=np.empty(0), coords=np.empty((0, 1)), box=tight)
         with pytest.raises(WindowCoverageError):
             build_ensemble(np.zeros((1, 5, 1)), grid, cloud, beta=0.0)
 
@@ -312,28 +310,27 @@ class TestReplicaOverlap:
 
 
 class TestDeltaSets:
+    # the delta-set measures are read off the two-to-one report
     def test_single_path_trivial(self):
         ens = constant_path_ensemble([0.0])
-        fld = occupancy_field(ens, h=0.125)
-        ds = delta_sets(fld, 0.25)
-        assert ds.middle_measure == 0.0
-        assert ds.negligible_in_tube == 0.0
-        assert ds.predominant_out_of_tube == 0.0
+        report = assert_two_to_one(occupancy_field(ens, h=0.125), 0.25)
+        assert report.middle == 0.0
+        assert report.negligible == 0.0
+        assert report.predominant == 0.0
 
     def test_delta_domain(self):
         ens, fld = random_ensemble(seed=30)
         for bad in (0.0, -0.1, 0.6):
             with pytest.raises(InvalidParameterError):
-                delta_sets(fld, bad)
+                assert_two_to_one(fld, bad)
 
     def test_two_far_paths_middle_mass(self):
         # every covered bin sits at probability 1/2, inside [delta, 1-delta]
         ens = constant_path_ensemble([0.0, 5.0])
-        fld = occupancy_field(ens, h=0.125)
-        ds = delta_sets(fld, 0.25)
-        assert ds.middle_measure == pytest.approx(2.0, abs=1e-12)
-        assert ds.negligible_in_tube == 0.0
-        assert ds.predominant_out_of_tube == 0.0
+        report = assert_two_to_one(occupancy_field(ens, h=0.125), 0.25)
+        assert report.middle == pytest.approx(2.0, abs=1e-12)
+        assert report.negligible == 0.0
+        assert report.predominant == 0.0
 
 
 class TestTwoToOne:
