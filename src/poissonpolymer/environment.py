@@ -46,7 +46,7 @@ MAX_EXPECTED_POINTS = 10 ** 7
 
 @dataclass(frozen=True)
 class SpaceTimeBox:
-    """Bounded sampling window (0, t_max] x [lo, hi]^d."""
+    """Bounded sampling window (0, t_max] x [lo, hi]^d and its ``volume``."""
 
     t_max: float
     lo: tuple
@@ -63,14 +63,12 @@ class SpaceTimeBox:
             raise InvalidParameterError("lo and hi must have the same dimension")
         if any(h <= l for l, h in zip(lo, hi)):
             raise InvalidParameterError("box must satisfy hi > lo componentwise")
+        object.__setattr__(self, "volume",
+                           self.t_max * float(np.prod(np.asarray(hi) - np.asarray(lo))))
 
     @property
     def d(self) -> int:
         return len(self.lo)
-
-    @property
-    def volume(self) -> float:
-        return self.t_max * float(np.prod(np.asarray(self.hi) - np.asarray(self.lo)))
 
 
 def _canonical_order(times: np.ndarray, coords: np.ndarray) -> np.ndarray:

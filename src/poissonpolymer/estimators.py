@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytics import _log_tilt, _tilt
-from .environment import SpaceTimeBox, draw_poisson, sample_poisson, superpose
+from .environment import _CHUNK_ELEMENTS, SpaceTimeBox, draw_poisson, sample_poisson, superpose
 from .errors import InvalidParameterError
 from .geometry import unit_ball_radius
 from .polymer import (
@@ -90,7 +90,7 @@ class ExperimentConfig:
     ``n_paths`` paths per environment, ``n_envs`` independent environments;
     ``bin_width`` defaults to r_d / 4.  Desk-scale defaults target d = 1,
     t <= 8 with n_steps = 64 t.  ``|beta|`` is at most ``BETA_LIMIT``, and
-    the path stack at most ``polymer.MAX_PATH_ELEMENTS`` doubles.  An
+    a sampled path stack at most ``polymer.MAX_PATH_ELEMENTS`` doubles.  An
     invalid value raises ``InvalidParameterError`` naming its key.
     """
 
@@ -126,11 +126,6 @@ class ExperimentConfig:
         require("n_envs", self.n_envs >= 1)
         require("bin_width", self.bin_width > 0)
         require("delta", 0.0 < self.delta <= 0.5)
-        stack = self.n_paths * (self.n_steps + 1) * self.d
-        if stack > MAX_PATH_ELEMENTS:
-            raise InvalidParameterError(
-                f"'paths_per_env' * ('n_steps' + 1) * d = {stack:.3g} path elements, "
-                f"above the budget of {MAX_PATH_ELEMENTS:.0e}")
 
     @property
     def grid(self) -> TimeGrid:
@@ -149,6 +144,11 @@ def _over_environments(cfg: ExperimentConfig, reduce, nus=None, extra_nu=None):
     result is one array per tuple slot in replicate order, plus the worst
     effective sample size of the first ensemble.
     """
+    stack = cfg.n_paths * (cfg.n_steps + 1) * cfg.d
+    if stack > MAX_PATH_ELEMENTS:
+        raise InvalidParameterError(
+            f"'paths_per_env' * ('n_steps' + 1) * d = {stack:.3g} path elements, "
+            f"above the budget of {MAX_PATH_ELEMENTS:.0e}")
     grid = cfg.grid
     rows = []
     ess_min = math.inf
@@ -202,15 +202,21 @@ def annealed_free_energy(cfg: ExperimentConfig) -> dict[str, EstimateWithError]:
     H is exactly Poisson(nu t) for any fixed discretized path because the
     slab tube has space-time volume t, so this estimator has a closed-form
     target.  The zero path's tube is |x| <= r_d at all times, so the points
-    are counted as drawn.  The standard error comes from the delta method.
+    are counted as drawn, in blocks of about ``_CHUNK_ELEMENTS`` coordinates.
+    The standard error comes from the delta method.
     """
     r = unit_ball_radius(cfg.d)
     box = SpaceTimeBox(t_max=cfg.t, lo=(-r - WINDOW_MARGIN,) * cfg.d,
                        hi=(r + WINDOW_MARGIN,) * cfg.d)
     counts = np.empty(cfg.n_envs, dtype=np.int64)
-    for i in range(cfg.n_envs):
-        _, coords = draw_poisson(box, cfg.nu, substream(cfg.seed, "cloud", i))
-        counts[i] = np.count_nonzero(np.einsum("pd,pd->p", coords, coords) <= r * r)
+    block = max(1, _CHUNK_ELEMENTS // (cfg.d * math.ceil(cfg.nu * box.volume + 1)))
+    for start in range(0, cfg.n_envs, block):
+        envs = range(start, min(start + block, cfg.n_envs))
+        coords = [draw_poisson(box, cfg.nu, substream(cfg.seed, "cloud", i))[1] for i in envs]
+        x = np.concatenate(coords)
+        owner = np.repeat(np.arange(len(envs)), [len(c) for c in coords])
+        counts[start:envs.stop] = np.bincount(owner[np.einsum("pd,pd->p", x, x) <= r * r],
+                                              minlength=len(envs))
     g = cfg.beta * counts.astype(float)
     shift = g.max()
     y = np.exp(g - shift)

@@ -12,10 +12,12 @@ alone and does not depend on execution order or worker scheduling:
 
 ``tag`` is an ASCII label for the consumer ("paths", "cloud", ...), ``index``
 the replicate number.  Identical triples always yield bitwise-identical
-streams.
+streams.  The Philox is keyed directly and draws no OS entropy.
 """
 
 from __future__ import annotations
+
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -41,15 +43,29 @@ def fnv1a64(text: str) -> int:
     return h
 
 
+@lru_cache(maxsize=64)
+def _prefix(master_seed: int, tag: str) -> int:
+    return splitmix64(splitmix64(master_seed & _MASK) ^ fnv1a64(tag))
+
+
 def stream_key(master_seed: int, tag: str, index: int = 0) -> int:
     """64-bit substream identifier for (master seed, module tag, replicate)."""
-    k = splitmix64(master_seed & _MASK)
-    k = splitmix64(k ^ fnv1a64(tag))
-    return splitmix64(k ^ (index & _MASK))
+    return splitmix64(_prefix(master_seed, tag) ^ (index & _MASK))
+
+
+@cache
+def _keyed_seed():
+    # Philox(key=...) would first draw OS entropy for a SeedSequence it never
+    # uses; this seed hands over the key as is.  Made on first use: naming
+    # numpy.random at import would load it into every CLI start-up.
+    from numpy.random.bit_generator import ISeedSequence
+    return type("KeyedSeed", (ISeedSequence,), {
+        "__init__": lambda self, key: setattr(self, "key", key),
+        "generate_state": lambda self, n_words, dtype=np.uint64: self.key})
 
 
 def substream(master_seed: int, tag: str, index: int = 0) -> np.random.Generator:
     """Philox generator for the given substream triple."""
     k = stream_key(master_seed, tag, index)
     key = np.array([k, splitmix64(k ^ _GOLDEN)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_keyed_seed()(key)))

@@ -398,3 +398,11 @@ def test_cli_import_skips_scipy_optimize():
     code = ("import sys, poissonpolymer.cli; "
             "sys.exit('scipy.optimize' in sys.modules or 'scipy.special' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_cli_import_skips_numpy_random():
+    # numpy.random adds about 2 MB and 10 ms to every start-up; the streams
+    # module loads it on the first substream call
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = "import sys, poissonpolymer.cli; sys.exit('numpy.random' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -30,6 +30,17 @@ def cloud_from_points(points, box=BOX1):
     return PointCloud(times=times, coords=coords, box=box)
 
 
+class TestSpaceTimeBox:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_volume_is_the_numpy_product(self, d):
+        # the Poisson mean nu * volume must not move by one ulp
+        rng = np.random.default_rng(d)
+        lo = rng.uniform(-3.0, 0.0, d)
+        hi = lo + rng.uniform(0.1, 5.0, d)
+        box = SpaceTimeBox(t_max=2.7, lo=tuple(lo), hi=tuple(hi))
+        assert box.volume == 2.7 * np.prod(hi - lo)
+
+
 class TestSampling:
     def test_deterministic_replay(self):
         a = sample_poisson(BOX1, 2.0, substream(123, "cloud", 4))

@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import poissonpolymer.estimators as estimators
 from oracles import count_in_tube
 from poissonpolymer.analytics import _log_tilt, _tilt, annealed_rate
 from poissonpolymer.environment import SpaceTimeBox, sample_poisson
@@ -111,6 +112,46 @@ class TestAnnealedFreeEnergy:
         g = c.beta * counts.astype(float)
         expected = (g.max() + math.log(float(np.exp(g - g.max()).mean()))) / c.t
         assert annealed_free_energy(c)["annealed_free_energy"].value == expected
+
+    @pytest.mark.parametrize("nu", [1.5, 0.0])
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_blocks_of_environments_give_the_same_estimate(self, monkeypatch, nu, block):
+        # 30 environments in blocks of 7 leave a partial last block; at nu = 0
+        # every cloud is empty and each block's bincount needs its minlength
+        c = cfg(d=2, nu=nu, t=2.0, n_envs=30, seed=21)
+        default = annealed_free_energy(c)["annealed_free_energy"]
+        r = unit_ball_radius(c.d)
+        volume = c.t * (2 * (r + WINDOW_MARGIN)) ** c.d
+        monkeypatch.setattr(estimators, "_CHUNK_ELEMENTS",
+                            block * c.d * math.ceil(c.nu * volume + 1))
+        sizes, bincount = [], np.bincount
+
+        def spy(x, weights=None, minlength=0):
+            sizes.append(minlength)
+            return bincount(x, weights, minlength)
+
+        monkeypatch.setattr(np, "bincount", spy)
+        blocked = annealed_free_energy(c)["annealed_free_energy"]
+        assert sizes == [block] * (30 // block) + [30 % block] * (30 % block > 0)
+        assert (blocked.value, blocked.std_error) == (default.value, default.std_error)
+        if nu == 0.0:
+            assert blocked.value == 0.0
+
+    def test_long_horizon_runs_without_a_path_stack(self):
+        # 2000 default paths at t = 1000 would be 1.28e8 doubles, but the
+        # annealed estimator samples no paths
+        c = ExperimentConfig(d=1, beta=0.5, nu=1.0, t=1000.0, n_envs=20)
+        est = annealed_free_energy(c)["annealed_free_energy"]
+        assert math.isfinite(est.value) and est.n_replicates == 20
+
+    def test_path_stack_budget_checked_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("paths sampled above the budget")
+
+        monkeypatch.setattr(estimators, "sample_paths", no_sampling)
+        c = ExperimentConfig(d=1, beta=0.5, nu=1.0, t=1000.0, n_envs=1)
+        with pytest.raises(InvalidParameterError, match=r"'paths_per_env'.*'n_steps'"):
+            quenched_free_energy(c)
 
 
 class TestDpDbeta:

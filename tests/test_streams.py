@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from poissonpolymer.streams import fnv1a64, splitmix64, stream_key, substream
 
@@ -34,3 +35,31 @@ def test_mix_primitives_stable():
     assert splitmix64(0) == 16294208416658607535
     assert fnv1a64("paths") == fnv1a64("paths")
     assert fnv1a64("paths") != fnv1a64("cloud")
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+@pytest.mark.parametrize("tag", ["paths", "cloud", "cloud-extra"])
+@pytest.mark.parametrize("index", [0, 10 ** 9])
+def test_generator_is_the_documented_philox(seed, tag, index):
+    # the stream rule's Philox key, handed to numpy's own key argument (as
+    # uint64: a list of Python ints above 2^53 would pass through float64)
+    k = stream_key(seed, tag, index)
+    key = np.array([k, splitmix64(k ^ 0x9E3779B97F4A7C15)], dtype=np.uint64)
+    reference = np.random.Philox(key=key)
+    gen = substream(seed, tag, index)
+    state, expected = gen.bit_generator.state, reference.state
+    assert state["bit_generator"] == expected["bit_generator"] == "Philox"
+    for part in ("counter", "key"):
+        assert np.array_equal(state["state"][part], expected["state"][part])
+    assert np.array_equal(state["buffer"], expected["buffer"])
+    assert (state["buffer_pos"], state["has_uint32"], state["uinteger"]) == \
+        (expected["buffer_pos"], expected["has_uint32"], expected["uinteger"])
+    assert np.array_equal(gen.integers(0, 2 ** 63, size=16),
+                          np.random.Generator(reference).integers(0, 2 ** 63, size=16))
+
+
+def test_substreams_share_no_state():
+    a, b = substream(5, "cloud", 3), substream(5, "cloud", 3)
+    assert a.bit_generator is not b.bit_generator
+    a.random(1000)
+    assert np.array_equal(b.random(4), substream(5, "cloud", 3).random(4))
