@@ -51,6 +51,6 @@ from .polymer import (
     occupancy_field,
     sample_paths,
 )
-from .streams import stream_key, substream
+from .streams import stream_key, substream, substreams
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -28,6 +28,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 from . import __version__
@@ -119,20 +120,16 @@ def _parse_list(raw: dict, key: str):
 class RunPlan:
     mode: str
     base: dict
-    grid_beta: list | None
-    grid_nu: list | None
-    grid_t: list | None
+    grids: dict  # "beta", "nu", "t" -> list of values, or None for the base value
 
     def cells(self) -> list[ExperimentConfig]:
-        betas = self.grid_beta if self.grid_beta is not None else [self.base["beta"]]
-        nus = self.grid_nu if self.grid_nu is not None else [self.base["nu"]]
-        ts = self.grid_t if self.grid_t is not None else [self.base["t"]]
-        out = []
-        for beta in betas:
-            for nu in nus:
-                for t in ts:
-                    out.append(ExperimentConfig(**dict(self.base, beta=beta, nu=nu, t=t)))
-        return out
+        """Beta-major, then nu, then t; every path stack is checked before any cell runs."""
+        axes = [self.grids[key] or [self.base[key]] for key in ("beta", "nu", "t")]
+        cells = [ExperimentConfig(**dict(self.base, beta=beta, nu=nu, t=t))
+                 for beta, nu, t in product(*axes)]
+        for cfg in cells if self.mode != "annealed" else ():  # only it samples no paths
+            cfg.check_path_budget()
+        return cells
 
 
 def build_run_plan(raw: dict, sweep: bool, seed_override: int | None = None) -> RunPlan:
@@ -158,8 +155,7 @@ def build_run_plan(raw: dict, sweep: bool, seed_override: int | None = None) -> 
     }
     if seed_override is not None:
         base["seed"] = seed_override
-    return RunPlan(mode=mode, base=base, grid_beta=grids["beta"],
-                   grid_nu=grids["nu"], grid_t=grids["t"])
+    return RunPlan(mode=mode, base=base, grids=grids)
 
 
 def _none_if_nan(v: float) -> float | None:
@@ -191,7 +187,7 @@ def _run_cell(mode: str, cfg: ExperimentConfig) -> list[dict]:
         "n_steps": cfg.n_steps, "M": cfg.n_paths, "K": cfg.n_envs,
         "h": cfg.bin_width, "value": est.value, "std_error": est.std_error,
         "ess_min": est.diagnostics.get("ess_min", math.nan), "observable": observable,
-        **extra,
+        "diagnostics": {key: _none_if_nan(v) for key, v in est.diagnostics.items()}, **extra,
     } for observable, est in estimates.items()]
 
 

@@ -105,28 +105,36 @@ class PointCloud:
         return len(self.times)
 
 
-def draw_poisson(box: SpaceTimeBox, nu: float, rng: np.random.Generator) -> tuple:
-    """Times and coordinates of a homogeneous Poisson cloud, in draw order.
+def draw_poisson(box: SpaceTimeBox, nu: float, rngs) -> tuple:
+    """Times, coordinates and sizes of one homogeneous Poisson cloud per
+    generator in ``rngs``, checked against the point budget before the first.
 
-    Draw order is fixed (count, then times, then coordinates) so a given
-    stream always produces bitwise-identical clouds.  Times fall in
-    (0, t_max] and coordinates in the box by construction.
+    Each generator draws its count n, then n times and the (n, d) coordinates
+    as one block of n (d + 1) uniforms, so a given stream always produces
+    bitwise-identical clouds, in (0, t_max] x box by construction.
     """
     if nu < 0:
         raise InvalidParameterError(f"intensity must be nonnegative, got {nu}")
-    if nu * box.volume > MAX_EXPECTED_POINTS:
-        raise InvalidParameterError(f"'nu' = {nu} expects {nu * box.volume:.3g} points, "
+    mean = nu * box.volume
+    if mean > MAX_EXPECTED_POINTS:
+        raise InvalidParameterError(f"'nu' = {nu} expects {mean:.3g} points, "
                                     f"above the budget of {MAX_EXPECTED_POINTS:.0e}")
-    n = int(rng.poisson(nu * box.volume))
-    # times in (0, t_max]: flip the half-open unit sample
-    times = box.t_max * (1.0 - rng.random(n))
+    sizes, draws = [], []
+    for rng in rngs:
+        sizes.append(int(rng.poisson(mean)))
+        draws.append(rng.random(sizes[-1] * (box.d + 1)))
+    u = draws[0] if len(draws) == 1 else np.concatenate(draws)
+    del draws  # the per-generator arrays, not needed next to their concatenation
+    is_time = np.repeat(np.tile((True, False), len(sizes)), np.outer(sizes, (1, box.d)).ravel())
     lo, hi = np.asarray(box.lo), np.asarray(box.hi)
-    return times, lo + (hi - lo) * rng.random((n, box.d))
+    # times in (0, t_max]: flip the half-open unit sample
+    return (box.t_max * (1.0 - u[is_time]),
+            lo + (hi - lo) * u[~is_time].reshape(-1, box.d), np.array(sizes))
 
 
 def sample_poisson(box: SpaceTimeBox, nu: float, rng: np.random.Generator) -> PointCloud:
     """Homogeneous Poisson cloud of intensity nu on the box (``draw_poisson``)."""
-    times, coords = draw_poisson(box, nu, rng)
+    times, coords, _ = draw_poisson(box, nu, (rng,))
     return PointCloud(times=times, coords=coords, box=box)
 
 

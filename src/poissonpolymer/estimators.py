@@ -11,8 +11,8 @@ reproducible bit for bit.
 
 Every experiment takes one ``ExperimentConfig`` and returns a dict from
 observable name (the CLI's ``observable`` column) to ``EstimateWithError``;
-estimates over path-batch ensembles carry the worst effective sample size
-as ``diagnostics["ess_min"]``.
+estimates over path-batch ensembles carry the diagnostics of
+``_over_environments``.
 
 Derivative estimators return all their estimates from that one pass:
 ``dp_dbeta`` the direct, Palm and finite-difference forms, ``dp_dnu`` the
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from itertools import islice
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,7 @@ from .polymer import (
     occupancy_field,
     sample_paths,
 )
-from .streams import substream
+from .streams import substream, substreams
 
 __all__ = [
     "BETA_LIMIT",
@@ -89,8 +90,7 @@ class ExperimentConfig:
 
     ``n_paths`` paths per environment, ``n_envs`` independent environments;
     ``bin_width`` defaults to r_d / 4.  Desk-scale defaults target d = 1,
-    t <= 8 with n_steps = 64 t.  ``|beta|`` is at most ``BETA_LIMIT``, and
-    a sampled path stack at most ``polymer.MAX_PATH_ELEMENTS`` doubles.  An
+    t <= 8 with n_steps = 64 t.  ``|beta|`` is at most ``BETA_LIMIT``.  An
     invalid value raises ``InvalidParameterError`` naming its key.
     """
 
@@ -131,8 +131,17 @@ class ExperimentConfig:
     def grid(self) -> TimeGrid:
         return TimeGrid(self.t, self.n_steps)
 
+    def check_path_budget(self):
+        """Refuse a path stack above ``polymer.MAX_PATH_ELEMENTS`` doubles."""
+        stack = self.n_paths * (self.n_steps + 1) * self.d
+        if stack > MAX_PATH_ELEMENTS:
+            raise InvalidParameterError(
+                f"'paths_per_env' * ('n_steps' + 1) * d = {stack:.3g} path elements, "
+                f"above the budget of {MAX_PATH_ELEMENTS:.0e}")
 
-def _over_environments(cfg: ExperimentConfig, reduce, nus=None, extra_nu=None):
+
+def _over_environments(cfg: ExperimentConfig, reduce, nus=None, extra_nu=None,
+                       field=False):
     """The environment loop of every path-batch experiment.
 
     Replicate i samples its path batch once, sizes the window from it and
@@ -140,18 +149,17 @@ def _over_environments(cfg: ExperimentConfig, reduce, nus=None, extra_nu=None):
     each drawn from the ("cloud", i) substream.  With ``extra_nu`` one more
     ensemble sees the last of those clouds superposed with an independent
     ``extra_nu`` cloud from ("cloud-extra", i), the coupling behind intensity
-    differences.  ``reduce(i, *ensembles)`` returns a tuple of floats; the
-    result is one array per tuple slot in replicate order, plus the worst
-    effective sample size of the first ensemble.
+    differences.  With ``field`` the first ensemble's occupancy field and the
+    report of its re-asserted grid inequalities, which holds the overlaps and
+    delta sets, follow the ensembles.  ``reduce(*ensembles)`` returns a tuple
+    of floats; the result is one array per tuple slot in replicate order, plus
+    the diagnostics ``ess_min`` and ``ess_degenerate`` of the first ensemble
+    and, with ``field``, the worst ``min_slack`` over replicates.
     """
-    stack = cfg.n_paths * (cfg.n_steps + 1) * cfg.d
-    if stack > MAX_PATH_ELEMENTS:
-        raise InvalidParameterError(
-            f"'paths_per_env' * ('n_steps' + 1) * d = {stack:.3g} path elements, "
-            f"above the budget of {MAX_PATH_ELEMENTS:.0e}")
+    cfg.check_path_budget()
     grid = cfg.grid
     rows = []
-    ess_min = math.inf
+    ess_min = min_slack = math.inf
     for i in range(cfg.n_envs):
         positions = sample_paths(grid, cfg.d, cfg.n_paths,
                                  substream(cfg.seed, "paths", i))
@@ -164,20 +172,21 @@ def _over_environments(cfg: ExperimentConfig, reduce, nus=None, extra_nu=None):
             clouds.append(superpose(clouds[-1], extra))
         ensembles = [build_ensemble(positions, grid, cloud, cfg.beta) for cloud in clouds]
         ess_min = min(ess_min, ensembles[0].ess)
-        rows.append(reduce(i, *ensembles))
-    if ess_min < ESS_WARN_FRACTION * cfg.n_paths:
+        if field:
+            fld = occupancy_field(ensembles[0], cfg.bin_width)
+            ensembles += [fld, assert_two_to_one(fld, cfg.delta, seed=cfg.seed, replicate=i)]
+            min_slack = min(min_slack, ensembles[-1].min_slack())
+        rows.append(reduce(*ensembles))
+        ensembles = fld = None  # no field outlives its replicate
+    degenerate = ess_min < ESS_WARN_FRACTION * cfg.n_paths
+    if degenerate:
         warnings.warn(
             f"importance weights are degenerate: worst ESS {ess_min:.2f} is below "
             f"{ESS_WARN_FRACTION:.0%} of {cfg.n_paths} paths per environment "
             f"(beta={cfg.beta}, nu={cfg.nu})", RuntimeWarning, stacklevel=3)
-    return [np.array(column) for column in zip(*rows)], ess_min
-
-
-def _checked_field(cfg: ExperimentConfig, i: int, ens):
-    """Occupancy field of replicate i and the report of its re-asserted grid
-    inequalities, which carries the field's overlaps and delta sets."""
-    fld = occupancy_field(ens, cfg.bin_width)
-    return fld, assert_two_to_one(fld, cfg.delta, seed=cfg.seed, replicate=i)
+    diag = {"ess_min": ess_min, "ess_degenerate": degenerate}
+    return ([np.array(column) for column in zip(*rows)],
+            diag | ({"min_slack": float(min_slack)} if field else {}))
 
 
 def quenched_free_energy(cfg: ExperimentConfig) -> dict[str, EstimateWithError]:
@@ -187,12 +196,10 @@ def quenched_free_energy(cfg: ExperimentConfig) -> dict[str, EstimateWithError]:
     jackknife over paths removes the leading 1/M term, and the estimated
     bias plus the worst effective sample size are reported as diagnostics.
     """
-    (values, biases), ess_min = _over_environments(
-        cfg, lambda i, ens: tuple(v / cfg.t for v in ens.log_z_jackknife()))
-    diag = {"ess_min": ess_min,
-            "ess_degenerate": ess_min < ESS_WARN_FRACTION * cfg.n_paths,
-            "jackknife_bias_mean": float(biases.mean())}
-    return {"quenched_free_energy": _mean_se(values, diag)}
+    (values, biases), diag = _over_environments(
+        cfg, lambda ens: tuple(v / cfg.t for v in ens.log_z_jackknife()))
+    return {"quenched_free_energy": _mean_se(
+        values, {**diag, "jackknife_bias_mean": float(biases.mean())})}
 
 
 def annealed_free_energy(cfg: ExperimentConfig) -> dict[str, EstimateWithError]:
@@ -210,11 +217,11 @@ def annealed_free_energy(cfg: ExperimentConfig) -> dict[str, EstimateWithError]:
                        hi=(r + WINDOW_MARGIN,) * cfg.d)
     counts = np.empty(cfg.n_envs, dtype=np.int64)
     block = max(1, _CHUNK_ELEMENTS // (cfg.d * math.ceil(cfg.nu * box.volume + 1)))
+    clouds = substreams(cfg.seed, "cloud", range(cfg.n_envs))
     for start in range(0, cfg.n_envs, block):
         envs = range(start, min(start + block, cfg.n_envs))
-        coords = [draw_poisson(box, cfg.nu, substream(cfg.seed, "cloud", i))[1] for i in envs]
-        x = np.concatenate(coords)
-        owner = np.repeat(np.arange(len(envs)), [len(c) for c in coords])
+        _, x, sizes = draw_poisson(box, cfg.nu, islice(clouds, len(envs)))
+        owner = np.repeat(np.arange(len(envs)), sizes)
         counts[start:envs.stop] = np.bincount(owner[np.einsum("pd,pd->p", x, x) <= r * r],
                                               minlength=len(envs))
     g = cfg.beta * counts.astype(float)
@@ -237,16 +244,15 @@ def dp_dbeta(cfg: ExperimentConfig, eps: float = 0.05) -> dict[str, EstimateWith
     dp_dbeta_finite_difference: central difference of (1/t) ln Z_hat at
         beta +- eps with common random numbers (same paths, same cloud).
     """
-    def reduce(i, ens):
-        fld, _ = _checked_field(cfg, i, ens)
+    def reduce(ens, fld, report):
         palm = fld.integral(fld.values / _tilt(cfg.beta, fld.values))
         return (ens.mean_h / cfg.t,
                 cfg.nu * math.exp(cfg.beta) * palm,
                 (ens.log_z_at(cfg.beta + eps) - ens.log_z_at(cfg.beta - eps))
                 / (2.0 * eps * cfg.t))
 
-    columns, ess_min = _over_environments(cfg, reduce)
-    return {f"dp_dbeta_{method}": _mean_se(values, {"ess_min": ess_min}) for method, values
+    columns, diag = _over_environments(cfg, reduce, field=True)
+    return {f"dp_dbeta_{method}": _mean_se(values, diag) for method, values
             in zip(("direct", "palm", "finite_difference"), columns)}
 
 
@@ -263,15 +269,14 @@ def dp_dnu(cfg: ExperimentConfig, eps: float | None = None) -> dict[str, Estimat
     if not 0.0 < eps < cfg.nu:
         raise InvalidParameterError("need 0 < eps < nu for the coupled difference")
 
-    def reduce(i, ens, ens_lo, ens_hi):
-        fld, _ = _checked_field(cfg, i, ens)
+    def reduce(ens, ens_lo, ens_hi, fld, report):
         return (fld.integral(_log_tilt(cfg.beta, fld.values)),
                 (ens_hi.log_z_hat - ens_lo.log_z_hat) / (2.0 * eps * cfg.t))
 
-    (field_values, fd_values), ess_min = _over_environments(
-        cfg, reduce, nus=(cfg.nu, cfg.nu - eps), extra_nu=2.0 * eps)
-    return {"dp_dnu_field": _mean_se(field_values, {"ess_min": ess_min}),
-            "dp_dnu_coupled_fd": _mean_se(fd_values)}
+    (field_values, fd_values), diag = _over_environments(
+        cfg, reduce, nus=(cfg.nu, cfg.nu - eps), extra_nu=2.0 * eps, field=True)
+    return {"dp_dnu_field": _mean_se(field_values, diag),
+            "dp_dnu_coupled_fd": _mean_se(fd_values, {"min_slack": diag["min_slack"]})}
 
 
 def nu_monotonicity(cfg: ExperimentConfig, nu_lo: float) -> dict[str, EstimateWithError]:
@@ -288,7 +293,7 @@ def nu_monotonicity(cfg: ExperimentConfig, nu_lo: float) -> dict[str, EstimateWi
         raise InvalidParameterError(f"need 0 < nu_lo <= nu, got nu_lo={nu_lo}")
     gap = cfg.nu - nu_lo
     (diffs,), _ = _over_environments(
-        cfg, lambda i, ens_lo, ens_hi: ((ens_hi.log_z_hat - ens_lo.log_z_hat) / cfg.t,),
+        cfg, lambda ens_lo, ens_hi: ((ens_hi.log_z_hat - ens_lo.log_z_hat) / cfg.t,),
         nus=(nu_lo,), extra_nu=gap)
     return {"difference": _mean_se(diffs),
             "lower": _mean_se(diffs - cfg.beta * gap),
@@ -302,12 +307,11 @@ def localization_scan(cfg: ExperimentConfig) -> dict[str, EstimateWithError]:
     inequalities, aborting with the offending seed on violation, and the
     report of that check holds all five observables.
     """
-    def reduce(i, ens):
-        report = _checked_field(cfg, i, ens)[1]
+    def reduce(ens, fld, report):
         return (report.replica, report.favourite, report.middle, report.negligible,
                 report.predominant)
 
-    columns, ess_min = _over_environments(cfg, reduce)
-    return {name: _mean_se(values, {"ess_min": ess_min}) for name, values in zip(
+    columns, diag = _over_environments(cfg, reduce, field=True)
+    return {name: _mean_se(values, diag) for name, values in zip(
         ("replica_overlap", "favourite_overlap", "delta_middle", "delta_negligible",
          "delta_predominant"), columns)}

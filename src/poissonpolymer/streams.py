@@ -12,16 +12,18 @@ alone and does not depend on execution order or worker scheduling:
 
 ``tag`` is an ASCII label for the consumer ("paths", "cloud", ...), ``index``
 the replicate number.  Identical triples always yield bitwise-identical
-streams.  The Philox is keyed directly and draws no OS entropy.
+streams.  ``substreams`` builds one Philox from a fixed seed, so no OS entropy
+is drawn, and sets each index's key through its state: a yielded generator is
+valid only until the next one is drawn, so never ``list()`` the iterator.
 """
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["splitmix64", "fnv1a64", "stream_key", "substream"]
+__all__ = ["splitmix64", "fnv1a64", "stream_key", "substream", "substreams"]
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -53,19 +55,19 @@ def stream_key(master_seed: int, tag: str, index: int = 0) -> int:
     return splitmix64(_prefix(master_seed, tag) ^ (index & _MASK))
 
 
-@cache
-def _keyed_seed():
-    # Philox(key=...) would first draw OS entropy for a SeedSequence it never
-    # uses; this seed hands over the key as is.  Made on first use: naming
-    # numpy.random at import would load it into every CLI start-up.
-    from numpy.random.bit_generator import ISeedSequence
-    return type("KeyedSeed", (ISeedSequence,), {
-        "__init__": lambda self, key: setattr(self, "key", key),
-        "generate_state": lambda self, n_words, dtype=np.uint64: self.key})
-
-
 def substream(master_seed: int, tag: str, index: int = 0) -> np.random.Generator:
     """Philox generator for the given substream triple."""
-    k = stream_key(master_seed, tag, index)
-    key = np.array([k, splitmix64(k ^ _GOLDEN)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(_keyed_seed()(key)))
+    return next(substreams(master_seed, tag, (index,)))
+
+
+def substreams(master_seed: int, tag: str, indices):
+    """One Philox generator, re-keyed for each index in turn with counter 0 and
+    nothing buffered, so that it yields each triple's stream from its start."""
+    gen = np.random.Generator(np.random.Philox(0))  # no OS entropy; re-keyed below
+    state = {"bit_generator": "Philox", "buffer": (0,) * 4, "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    for index in indices:
+        k = stream_key(master_seed, tag, index)
+        state["state"] = {"counter": (0,) * 4, "key": (k, splitmix64(k ^ _GOLDEN))}
+        gen.bit_generator.state = state
+        yield gen

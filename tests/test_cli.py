@@ -9,6 +9,7 @@ import pytest
 import poissonpolymer.cli as cli
 from poissonpolymer.cli import build_run_plan, main, parse_config_text
 from poissonpolymer.errors import ConfigError, InvariantViolationError
+from poissonpolymer.estimators import EstimateWithError
 
 MINIMAL = """\
 # smallest useful run
@@ -219,6 +220,43 @@ class TestSimulate:
             for entry in row.get("delta_sets", {}).values():
                 assert entry["std_error"] is None
 
+    @pytest.mark.parametrize("mode,keys", [
+        ("quenched", {"ess_min", "ess_degenerate", "jackknife_bias_mean"}),
+        ("annealed", {"target"}),
+        ("localization", {"ess_min", "ess_degenerate", "min_slack"}),
+        ("dp-dbeta", {"ess_min", "ess_degenerate", "min_slack"}),
+        ("dp-dnu", {"ess_min", "ess_degenerate", "min_slack"})])
+    def test_results_json_carries_the_diagnostics(self, tmp_path, mode, keys):
+        text = MINIMAL.replace("beta = 0", "beta = 0.5").replace("quenched", mode)
+        out = tmp_path / "out"
+        assert main(["simulate", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+        rows = load_results_json(out)
+        diagnostics = [row["diagnostics"] for row in rows]
+        assert set(diagnostics[0]) == keys
+        for row, diag in zip(rows, diagnostics):
+            assert diag.get("ess_min", row["ess_min"]) == row["ess_min"]
+            assert diag.get("ess_degenerate", False) is False
+            if mode == "dp-dnu":
+                assert diag["min_slack"] == diagnostics[0]["min_slack"]
+            elif mode != "annealed":
+                assert diag == diagnostics[0]
+        if mode == "annealed":
+            assert diagnostics[0]["target"] == 1.0 * math.expm1(0.5)
+        if "min_slack" in keys:
+            assert diagnostics[0]["min_slack"] >= -1e-9
+
+    def test_undefined_diagnostic_is_null(self, tmp_path, monkeypatch):
+        def with_nan(cfg):
+            return {"annealed_free_energy": EstimateWithError(
+                0.5, 0.1, 4, {"target": math.nan, "ess_degenerate": True})}
+
+        monkeypatch.setattr(cli, "annealed_free_energy", with_nan)
+        text = MINIMAL.replace("quenched", "annealed")
+        out = tmp_path / "out"
+        assert main(["simulate", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+        [row] = load_results_json(out)
+        assert row["diagnostics"] == {"target": None, "ess_degenerate": True}
+
     # where expm1(beta) rounds to -1, 1 + lambda m cancels at m = 1
     @pytest.mark.parametrize("mode", ["dp-dbeta", "dp-dnu"])
     @pytest.mark.parametrize("beta", ["-350", "-40"])
@@ -282,6 +320,28 @@ class TestSweep:
         loc_rows = [r for r in rows if r["observable"] == "replica_overlap"]
         assert all("delta_sets" in r for r in loc_rows)
         assert [r["beta"] for r in loc_rows] == [0.0, 0.5, 1.0]
+
+    def test_path_budget_refused_before_the_first_cell(self, tmp_path, monkeypatch, capsys):
+        # the t = 1 cell fits the budget, the t = 1000 cell does not
+        def must_not_run(cfg):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli, "quenched_free_energy", must_not_run)
+        text = MINIMAL.replace("t = 1\n", "grid.t = 1, 1000\n").replace(
+            "paths_per_env = 40", "paths_per_env = 2000")
+        out = tmp_path / "out"
+        assert main(["sweep", str(write_config(tmp_path, text)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'paths_per_env'" in err and "'n_steps'" in err
+        assert not out.exists()
+
+    def test_annealed_sweep_at_long_horizon_runs(self, tmp_path):
+        # the annealed estimator samples no paths, so no path budget applies
+        text = MINIMAL.replace("t = 1\n", "grid.t = 1, 1000\n").replace(
+            "paths_per_env = 40", "paths_per_env = 2000").replace("quenched", "annealed")
+        out = tmp_path / "out"
+        assert main(["sweep", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+        assert [row["t"] for row in load_results_json(out)] == [1.0, 1000.0]
 
 
 class TestAnalytic:

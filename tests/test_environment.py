@@ -11,6 +11,7 @@ from poissonpolymer.environment import (
     PointCloud,
     SpaceTimeBox,
     batch_tube_counts,
+    draw_poisson,
     sample_poisson,
     slab_indices,
     superpose,
@@ -87,6 +88,49 @@ class TestSampling:
         assert np.all(cloud.coords >= BOX1.lo[0])
         assert np.all(cloud.coords <= BOX1.hi[0])
         assert np.all(np.diff(cloud.times) >= 0)
+
+
+class TestDrawPoisson:
+    @staticmethod
+    def box(d):
+        return SpaceTimeBox(t_max=1.5, lo=(-1.0,) * d, hi=(0.25,) * d)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_one_generator_draws_count_then_times_then_coordinates(self, d):
+        box = self.box(d)
+        reference = substream(61, "cloud", d)
+        n = int(reference.poisson(2.0 * box.volume))
+        times = box.t_max * (1.0 - reference.random(n))
+        lo, hi = np.asarray(box.lo), np.asarray(box.hi)
+        coords = lo + (hi - lo) * reference.random((n, d))
+        drawn = draw_poisson(box, 2.0, (substream(61, "cloud", d),))
+        assert n > 0 and drawn[2].tolist() == [n]
+        assert np.array_equal(drawn[0], times) and np.array_equal(drawn[1], coords)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("nu", [0.3, 0.0])
+    def test_block_equals_the_draws_of_each_generator(self, d, nu):
+        box = self.box(d)
+        single = [draw_poisson(box, nu, (substream(62, "cloud", i),)) for i in range(40)]
+        times, coords, sizes = draw_poisson(box, nu, (substream(62, "cloud", i)
+                                                      for i in range(40)))
+        assert sizes.tolist() == [len(s[0]) for s in single]
+        if nu:  # empty clouds between non-empty ones
+            assert sizes.min() == 0 and sizes.max() > 1
+        else:
+            assert sizes.max() == 0
+        assert np.array_equal(times, np.concatenate([s[0] for s in single]))
+        assert coords.shape == (sizes.sum(), d)
+        assert np.array_equal(coords, np.concatenate([s[1] for s in single]))
+
+    def test_point_budget_refused_before_any_generator_is_taken(self):
+        def generators():
+            raise AssertionError("a generator was taken")
+            yield
+
+        nu = 2.0 * MAX_EXPECTED_POINTS / BOX1.volume
+        with pytest.raises(InvalidParameterError, match="'nu'"):
+            draw_poisson(BOX1, nu, generators())
 
 
 class TestCountInTube:

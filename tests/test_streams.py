@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from poissonpolymer.streams import fnv1a64, splitmix64, stream_key, substream
+from poissonpolymer.streams import fnv1a64, splitmix64, stream_key, substream, substreams
 
 
 def test_keys_are_64_bit():
@@ -63,3 +63,51 @@ def test_substreams_share_no_state():
     assert a.bit_generator is not b.bit_generator
     a.random(1000)
     assert np.array_equal(b.random(4), substream(5, "cloud", 3).random(4))
+
+
+def _state(gen):
+    state = gen.bit_generator.state
+    return (tuple(state["state"]["counter"]), tuple(state["state"]["key"]),
+            state["buffer_pos"], state["has_uint32"], state["uinteger"])
+
+
+def _documented_philox(seed, tag, index):
+    k = stream_key(seed, tag, index)
+    key = np.array([k, splitmix64(k ^ 0x9E3779B97F4A7C15)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+@pytest.mark.parametrize("tag", ["paths", "cloud", "cloud-extra"])
+def test_substreams_equal_substream_bit_for_bit(seed, tag):
+    indices = [0, 1, 10 ** 9, 2 ** 64 - 1, 1]
+    taken = 0
+    for index, gen in zip(indices, substreams(seed, tag, indices)):
+        references = substream(seed, tag, index), _documented_philox(seed, tag, index)
+        for ref in references:
+            assert _state(gen) == _state(ref)
+        u = gen.random(2)
+        word = gen.integers(0, 2 ** 32, dtype=np.uint32)
+        for ref in references:
+            assert np.array_equal(u, ref.random(2))
+            assert word == ref.integers(0, 2 ** 32, dtype=np.uint32)
+            assert _state(gen) == _state(ref)
+        # the next index must not inherit a partly used buffer or a cached uint32
+        state = gen.bit_generator.state
+        assert state["buffer_pos"] < 4 and state["has_uint32"] == 1
+        taken += 1
+    assert taken == len(indices)
+
+
+def test_substreams_follow_the_index_iterable_lazily():
+    seen = []
+
+    def indices():
+        for index in (3, 8):
+            seen.append(index)
+            yield index
+
+    gens = substreams(4, "cloud", indices())
+    assert seen == []
+    assert np.array_equal(next(gens).random(5), substream(4, "cloud", 3).random(5))
+    assert seen == [3]
