@@ -36,7 +36,8 @@ __all__ = [
 # holds at most this many elements (512 KiB): a gather of every live point at
 # once would cost M * n_points * d doubles, hundreds of MB at nu = 100.
 # ``polymer.occupancy_field`` takes chunks of ``_CHUNK_ELEMENTS // (2R + 1)^d``
-# (slab, path) pairs, so a chunk's stencil bins stay under it too.
+# (slab, path) pairs, so a chunk's stencil bins stay under it too, and
+# ``polymer.sample_paths`` draws the increments of as many paths at a time.
 _CHUNK_ELEMENTS = 2 ** 16
 
 # Budget of expected points nu * |box| per cloud (80 MB per coordinate),
@@ -160,7 +161,8 @@ def batch_tube_counts(cloud: PointCloud, positions: np.ndarray,
     r2 = unit_ball_radius(d) ** 2
     chunk = max(1, _CHUNK_ELEMENTS // (n_paths * d))
     for start in range(0, len(ks), chunk):
-        diff = positions[:, ks[start:start + chunk], :] - coords[start:start + chunk]
+        diff = positions[:, ks[start:start + chunk], :]
+        diff -= coords[start:start + chunk]
         counts += (np.einsum("mpd,mpd->mp", diff, diff) <= r2).sum(axis=1)
     return counts
 

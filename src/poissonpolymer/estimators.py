@@ -153,13 +153,15 @@ def _over_environments(cfg: ExperimentConfig, reduce, nus=None, extra_nu=None,
     report of its re-asserted grid inequalities, which holds the overlaps and
     delta sets, follow the ensembles.  ``reduce(*ensembles)`` returns a tuple
     of floats; the result is one array per tuple slot in replicate order, plus
-    the diagnostics ``ess_min`` and ``ess_degenerate`` of the first ensemble
-    and, with ``field``, the worst ``min_slack`` over replicates.
+    the diagnostics ``ess_min``, ``ess_median`` and ``ess_degenerate`` of the
+    first ensemble, the mean point count of its cloud and the mean window
+    volume (``points_mean``, ``window_volume_mean``) and, with ``field``, the
+    worst ``min_slack``.  No replicate's path stack outlives the replicate.
     """
     cfg.check_path_budget()
     grid = cfg.grid
-    rows = []
-    ess_min = min_slack = math.inf
+    rows, stats = [], []
+    min_slack = math.inf
     for i in range(cfg.n_envs):
         positions = sample_paths(grid, cfg.d, cfg.n_paths,
                                  substream(cfg.seed, "paths", i))
@@ -171,20 +173,24 @@ def _over_environments(cfg: ExperimentConfig, reduce, nus=None, extra_nu=None,
             extra = sample_poisson(box, extra_nu, substream(cfg.seed, "cloud-extra", i))
             clouds.append(superpose(clouds[-1], extra))
         ensembles = [build_ensemble(positions, grid, cloud, cfg.beta) for cloud in clouds]
-        ess_min = min(ess_min, ensembles[0].ess)
+        stats.append((ensembles[0].ess, clouds[0].n_points, box.volume))
         if field:
             fld = occupancy_field(ensembles[0], cfg.bin_width)
             ensembles += [fld, assert_two_to_one(fld, cfg.delta, seed=cfg.seed, replicate=i)]
             min_slack = min(min_slack, ensembles[-1].min_slack())
         rows.append(reduce(*ensembles))
-        ensembles = fld = None  # no field outlives its replicate
-    degenerate = ess_min < ESS_WARN_FRACTION * cfg.n_paths
+        positions = clouds = extra = ensembles = fld = None  # none outlives its replicate
+    ess, points, volumes = np.array(stats).T
+    ess.sort()  # for min and median; np.median would import numpy.ma, about 1.5 MB
+    degenerate = bool(ess[0] < ESS_WARN_FRACTION * cfg.n_paths)
     if degenerate:
         warnings.warn(
-            f"importance weights are degenerate: worst ESS {ess_min:.2f} is below "
+            f"importance weights are degenerate: worst ESS {ess[0]:.2f} is below "
             f"{ESS_WARN_FRACTION:.0%} of {cfg.n_paths} paths per environment "
             f"(beta={cfg.beta}, nu={cfg.nu})", RuntimeWarning, stacklevel=3)
-    diag = {"ess_min": ess_min, "ess_degenerate": degenerate}
+    diag = {"ess_min": float(ess[0]), "ess_degenerate": degenerate,
+            "ess_median": float(ess[(len(ess) - 1) // 2] + ess[len(ess) // 2]) / 2,
+            "points_mean": float(points.mean()), "window_volume_mean": float(volumes.mean())}
     return ([np.array(column) for column in zip(*rows)],
             diag | ({"min_slack": float(min_slack)} if field else {}))
 

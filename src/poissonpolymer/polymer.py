@@ -50,7 +50,7 @@ __all__ = [
 WINDOW_MARGIN = 0.5
 
 # Budgets checked before allocating (800 MB of doubles each): the path stack
-# M (n_steps + 1) d, at most about 5e5 at desk scale, and the field n_steps B, 2e5.
+# M (n_steps + 1) d, one per replicate, about 5e5 at desk scale; the field n_steps B, 2e5.
 MAX_PATH_ELEMENTS = 10 ** 8
 MAX_FIELD_BINS = 10 ** 8
 
@@ -77,15 +77,19 @@ def sample_paths(grid: TimeGrid, d: int, n_paths: int,
                  rng: np.random.Generator) -> np.ndarray:
     """Independent Gaussian walks with step covariance dt * I, from the origin.
 
-    Returns the path stack, shape (n_paths, n_steps + 1, d).
+    Returns the path stack, shape (n_paths, n_steps + 1, d), into which the
+    increments are drawn and summed in blocks of about ``_CHUNK_ELEMENTS``.
     """
     if n_paths < 1:
         raise InvalidParameterError(f"path count must be positive, got {n_paths}")
     if d < 1 or int(d) != d:
         raise InvalidParameterError(f"dimension must be a positive integer, got {d}")
-    steps = rng.normal(0.0, np.sqrt(grid.dt), size=(n_paths, grid.n_steps, d))
-    positions = np.zeros((n_paths, grid.n_steps + 1, d))
-    np.cumsum(steps, axis=1, out=positions[:, 1:, :])
+    positions = np.empty((n_paths, grid.n_steps + 1, d))
+    positions[:, 0, :] = 0.0
+    block = max(1, _CHUNK_ELEMENTS // (grid.n_steps * d))
+    for start in range(0, n_paths, block):
+        rows = positions[start:start + block, 1:, :]
+        np.cumsum(rng.normal(0.0, np.sqrt(grid.dt), size=rows.shape), axis=1, out=rows)
     return positions
 
 

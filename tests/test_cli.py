@@ -4,12 +4,16 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import poissonpolymer.cli as cli
 from poissonpolymer.cli import build_run_plan, main, parse_config_text
+from poissonpolymer.environment import SpaceTimeBox, sample_poisson
 from poissonpolymer.errors import ConfigError, InvariantViolationError
 from poissonpolymer.estimators import EstimateWithError
+from poissonpolymer.polymer import TimeGrid, bounding_box_for, build_ensemble, sample_paths
+from poissonpolymer.streams import substream
 
 MINIMAL = """\
 # smallest useful run
@@ -22,6 +26,10 @@ n_envs = 4
 seed = 9
 mode = quenched
 """
+
+# the diagnostics of every estimate over path-batch ensembles
+PATH_BATCH_KEYS = {"ess_min", "ess_median", "ess_degenerate", "points_mean",
+                   "window_volume_mean"}
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -221,11 +229,11 @@ class TestSimulate:
                 assert entry["std_error"] is None
 
     @pytest.mark.parametrize("mode,keys", [
-        ("quenched", {"ess_min", "ess_degenerate", "jackknife_bias_mean"}),
+        ("quenched", PATH_BATCH_KEYS | {"jackknife_bias_mean"}),
         ("annealed", {"target"}),
-        ("localization", {"ess_min", "ess_degenerate", "min_slack"}),
-        ("dp-dbeta", {"ess_min", "ess_degenerate", "min_slack"}),
-        ("dp-dnu", {"ess_min", "ess_degenerate", "min_slack"})])
+        ("localization", PATH_BATCH_KEYS | {"min_slack"}),
+        ("dp-dbeta", PATH_BATCH_KEYS | {"min_slack"}),
+        ("dp-dnu", PATH_BATCH_KEYS | {"min_slack"})])
     def test_results_json_carries_the_diagnostics(self, tmp_path, mode, keys):
         text = MINIMAL.replace("beta = 0", "beta = 0.5").replace("quenched", mode)
         out = tmp_path / "out"
@@ -244,6 +252,26 @@ class TestSimulate:
             assert diagnostics[0]["target"] == 1.0 * math.expm1(0.5)
         if "min_slack" in keys:
             assert diagnostics[0]["min_slack"] >= -1e-9
+
+    def test_results_json_carries_ess_median_points_and_window_volume(self, tmp_path):
+        out = tmp_path / "out"
+        text = MINIMAL.replace("beta = 0", "beta = 0.5")
+        assert main(["simulate", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+        [row] = load_results_json(out)
+        # replay the four replicates of MINIMAL (seed 9) by hand
+        grid, ess, points, volumes = TimeGrid(1.0, 64), [], [], []
+        for i in range(4):
+            positions = sample_paths(grid, 1, 40, substream(9, "paths", i))
+            box = SpaceTimeBox(1.0, *bounding_box_for(positions))
+            cloud = sample_poisson(box, 1.0, substream(9, "cloud", i))
+            ess.append(build_ensemble(positions, grid, cloud, 0.5).ess)
+            points.append(cloud.n_points)
+            volumes.append(box.volume)
+        diag = row["diagnostics"]
+        assert diag["ess_median"] == pytest.approx(np.median(ess), rel=1e-12)
+        assert diag["ess_min"] <= diag["ess_median"] <= 40
+        assert diag["points_mean"] == np.mean(points) > 0
+        assert diag["window_volume_mean"] == pytest.approx(np.mean(volumes), rel=1e-12)
 
     def test_undefined_diagnostic_is_null(self, tmp_path, monkeypatch):
         def with_nan(cfg):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -75,6 +76,20 @@ class TestQuenchedFreeEnergy:
         est = quenched_free_energy(cfg(n_envs=10))["quenched_free_energy"]
         assert "jackknife_bias_mean" in est.diagnostics
         assert "ess_min" in est.diagnostics
+
+    def test_replicate_holds_one_path_stack(self):
+        # numpy reports its buffers to tracemalloc: a replicate's peak is its
+        # own stack plus chunk-sized scratch, not the previous replicate's
+        # stack or a full-size array of increments next to it
+        c = cfg(t=8.0, n_steps=512, n_paths=2000, n_envs=3)
+        stack = c.n_paths * (c.n_steps + 1) * c.d * 8
+        tracemalloc.start()
+        try:
+            quenched_free_energy(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * stack, f"peak {peak / stack:.2f} path stacks"
 
 
 class TestAnnealedFreeEnergy:

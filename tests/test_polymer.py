@@ -12,6 +12,7 @@ from oracles import (
     occupancy_field_candidates,
     occupancy_field_dense,
     replica_overlap_pairwise,
+    sample_paths_single_draw,
 )
 from poissonpolymer import polymer
 from poissonpolymer.environment import PointCloud, SpaceTimeBox, sample_poisson, slab_indices
@@ -95,6 +96,21 @@ class TestSamplePaths:
     def test_invalid_count(self):
         with pytest.raises(InvalidParameterError):
             sample_paths(TimeGrid(1.0, 4), 1, 0, substream(0, "paths", 0))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("block", ["one-path", "ragged", "default"])
+    def test_block_draw_equals_single_draw_bit_for_bit(self, d, block, monkeypatch):
+        # blocks of one path, of three paths (700 = 233 * 3 + 1), and the
+        # default: one block at d = 1, two at d = 2, three (the last of 18
+        # paths) at d = 3
+        grid, n_paths = TimeGrid(2.0, 64), 700
+        if block != "default":
+            monkeypatch.setattr(polymer, "_CHUNK_ELEMENTS",
+                                1 if block == "one-path" else 3 * grid.n_steps * d)
+        paths = sample_paths(grid, d, n_paths, substream(5, "paths", d))
+        expected = sample_paths_single_draw(grid, d, n_paths, substream(5, "paths", d))
+        assert paths.shape == expected.shape
+        assert np.array_equal(paths, expected)
 
     def test_terminal_variance_matches_horizon(self):
         t, n_rep = 1.5, 10_000
