@@ -43,12 +43,10 @@ from .estimators import (
 from .geometry import unit_ball_radius
 from .polymer import (
     GibbsEnsemble,
-    OccupancyField,
     TimeGrid,
     TwoToOneReport,
-    assert_two_to_one,
     build_ensemble,
-    occupancy_field,
+    field_report,
     sample_paths,
 )
 from .streams import stream_key, substream, substreams

@@ -39,10 +39,9 @@ from .polymer import (
     MAX_PATH_ELEMENTS,
     TimeGrid,
     WINDOW_MARGIN,
-    assert_two_to_one,
     bounding_box_for,
     build_ensemble,
-    occupancy_field,
+    field_report,
     sample_paths,
 )
 from .streams import substream, substreams
@@ -141,7 +140,7 @@ class ExperimentConfig:
 
 
 def _over_environments(cfg: ExperimentConfig, reduce, nus=None, extra_nu=None,
-                       field=False):
+                       densities=None):
     """The environment loop of every path-batch experiment.
 
     Replicate i samples its path batch once, sizes the window from it and
@@ -149,14 +148,15 @@ def _over_environments(cfg: ExperimentConfig, reduce, nus=None, extra_nu=None,
     each drawn from the ("cloud", i) substream.  With ``extra_nu`` one more
     ensemble sees the last of those clouds superposed with an independent
     ``extra_nu`` cloud from ("cloud-extra", i), the coupling behind intensity
-    differences.  With ``field`` the first ensemble's occupancy field and the
-    report of its re-asserted grid inequalities, which holds the overlaps and
-    delta sets, follow the ensembles.  ``reduce(*ensembles)`` returns a tuple
+    differences.  With ``densities`` (a tuple, possibly empty) the report of
+    the re-asserted grid inequalities of the first ensemble's field, which
+    holds the overlaps and delta sets, and the field integral of each density
+    follow the ensembles.  ``reduce(*ensembles)`` returns a tuple
     of floats; the result is one array per tuple slot in replicate order, plus
     the diagnostics ``ess_min``, ``ess_median`` and ``ess_degenerate`` of the
     first ensemble, the mean point count of its cloud and the mean window
-    volume (``points_mean``, ``window_volume_mean``) and, with ``field``, the
-    worst ``min_slack``.  No replicate's path stack outlives the replicate.
+    volume (``points_mean``, ``window_volume_mean``) and, with ``densities``,
+    the worst ``min_slack``.  No replicate's path stack outlives the replicate.
     """
     cfg.check_path_budget()
     grid = cfg.grid
@@ -174,12 +174,13 @@ def _over_environments(cfg: ExperimentConfig, reduce, nus=None, extra_nu=None,
             clouds.append(superpose(clouds[-1], extra))
         ensembles = [build_ensemble(positions, grid, cloud, cfg.beta) for cloud in clouds]
         stats.append((ensembles[0].ess, clouds[0].n_points, box.volume))
-        if field:
-            fld = occupancy_field(ensembles[0], cfg.bin_width)
-            ensembles += [fld, assert_two_to_one(fld, cfg.delta, seed=cfg.seed, replicate=i)]
-            min_slack = min(min_slack, ensembles[-1].min_slack())
+        if densities is not None:
+            report, integrals = field_report(ensembles[0], cfg.bin_width, cfg.delta,
+                                             densities, seed=cfg.seed, replicate=i)
+            ensembles += [report, *integrals]
+            min_slack = min(min_slack, report.min_slack())
         rows.append(reduce(*ensembles))
-        positions = clouds = extra = ensembles = fld = None  # none outlives its replicate
+        positions = clouds = extra = ensembles = None  # none outlives its replicate
     ess, points, volumes = np.array(stats).T
     ess.sort()  # for min and median; np.median would import numpy.ma, about 1.5 MB
     degenerate = bool(ess[0] < ESS_WARN_FRACTION * cfg.n_paths)
@@ -192,7 +193,7 @@ def _over_environments(cfg: ExperimentConfig, reduce, nus=None, extra_nu=None,
             "ess_median": float(ess[(len(ess) - 1) // 2] + ess[len(ess) // 2]) / 2,
             "points_mean": float(points.mean()), "window_volume_mean": float(volumes.mean())}
     return ([np.array(column) for column in zip(*rows)],
-            diag | ({"min_slack": float(min_slack)} if field else {}))
+            diag | ({"min_slack": float(min_slack)} if densities is not None else {}))
 
 
 def quenched_free_energy(cfg: ExperimentConfig) -> dict[str, EstimateWithError]:
@@ -250,14 +251,13 @@ def dp_dbeta(cfg: ExperimentConfig, eps: float = 0.05) -> dict[str, EstimateWith
     dp_dbeta_finite_difference: central difference of (1/t) ln Z_hat at
         beta +- eps with common random numbers (same paths, same cloud).
     """
-    def reduce(ens, fld, report):
-        palm = fld.integral(fld.values / _tilt(cfg.beta, fld.values))
+    def reduce(ens, report, palm):
         return (ens.mean_h / cfg.t,
                 cfg.nu * math.exp(cfg.beta) * palm,
                 (ens.log_z_at(cfg.beta + eps) - ens.log_z_at(cfg.beta - eps))
                 / (2.0 * eps * cfg.t))
 
-    columns, diag = _over_environments(cfg, reduce, field=True)
+    columns, diag = _over_environments(cfg, reduce, densities=(lambda m: m / _tilt(cfg.beta, m),))
     return {f"dp_dbeta_{method}": _mean_se(values, diag) for method, values
             in zip(("direct", "palm", "finite_difference"), columns)}
 
@@ -273,14 +273,15 @@ def dp_dnu(cfg: ExperimentConfig, eps: float | None = None) -> dict[str, Estimat
     if eps is None:
         eps = 0.05 * cfg.nu
     if not 0.0 < eps < cfg.nu:
-        raise InvalidParameterError("need 0 < eps < nu for the coupled difference")
+        raise InvalidParameterError(f"invalid config value for key 'nu': the coupled "
+                                    f"difference needs 0 < eps < nu, got eps = {eps}")
 
-    def reduce(ens, ens_lo, ens_hi, fld, report):
-        return (fld.integral(_log_tilt(cfg.beta, fld.values)),
-                (ens_hi.log_z_hat - ens_lo.log_z_hat) / (2.0 * eps * cfg.t))
+    def reduce(ens, ens_lo, ens_hi, report, field_integral):
+        return (field_integral, (ens_hi.log_z_hat - ens_lo.log_z_hat) / (2.0 * eps * cfg.t))
 
     (field_values, fd_values), diag = _over_environments(
-        cfg, reduce, nus=(cfg.nu, cfg.nu - eps), extra_nu=2.0 * eps, field=True)
+        cfg, reduce, nus=(cfg.nu, cfg.nu - eps), extra_nu=2.0 * eps,
+        densities=(lambda m: _log_tilt(cfg.beta, m),))
     return {"dp_dnu_field": _mean_se(field_values, diag),
             "dp_dnu_coupled_fd": _mean_se(fd_values, {"min_slack": diag["min_slack"]})}
 
@@ -313,11 +314,11 @@ def localization_scan(cfg: ExperimentConfig) -> dict[str, EstimateWithError]:
     inequalities, aborting with the offending seed on violation, and the
     report of that check holds all five observables.
     """
-    def reduce(ens, fld, report):
+    def reduce(ens, report):
         return (report.replica, report.favourite, report.middle, report.negligible,
                 report.predominant)
 
-    columns, diag = _over_environments(cfg, reduce, field=True)
+    columns, diag = _over_environments(cfg, reduce, densities=())
     return {name: _mean_se(values, diag) for name, values in zip(
         ("replica_overlap", "favourite_overlap", "delta_middle", "delta_negligible",
          "delta_predominant"), columns)}

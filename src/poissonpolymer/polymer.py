@@ -16,8 +16,16 @@ bounded by roundoff), not merely asymptotic.  On the last axis a stencil
 row's inside bins are one run (the distance to the centers falls, then
 rises), so only the ends of the run are tested.
 
+The field is reduced slab block by slab block and never held whole.  The
+kernel fills a buffer of min(n_steps, max(2^16 // B, ceil(c / M) + 1))
+slabs of B bins, where a chunk holds c = 2^16 // (2R + 1)^d of the
+(slab, path) pairs, and hands over its finished rows; ``field_report``
+reduces each block to per-slab sums before the kernel goes on.  The whole
+(n_steps, B) field and its whole-array report are test oracles, in
+``tests/oracles.py``.
+
 The localization observables are reductions of the field alone, collected
-by ``assert_two_to_one``.  The favourite overlap, the Gibbs-mean fraction
+by ``field_report``.  The favourite overlap, the Gibbs-mean fraction
 of slabs a path spends in the ball around the slab's most occupied bin
 center, is the time mean of the per-slab field maxima: the field value at
 that center is exactly the Gibbs probability of that ball.  So no argmax,
@@ -38,19 +46,18 @@ from .geometry import unit_ball_radius
 __all__ = [
     "TimeGrid",
     "GibbsEnsemble",
-    "OccupancyField",
     "TwoToOneReport",
     "sample_paths",
     "bounding_box_for",
     "build_ensemble",
-    "occupancy_field",
-    "assert_two_to_one",
+    "field_report",
 ]
 
 WINDOW_MARGIN = 0.5
 
 # Budgets checked before allocating (800 MB of doubles each): the path stack
-# M (n_steps + 1) d, one per replicate, about 5e5 at desk scale; the field n_steps B, 2e5.
+# M (n_steps + 1) d, one per replicate, about 5e5 at desk scale; the field n_steps B,
+# 2e5, though only a block of its slabs is held.
 MAX_PATH_ELEMENTS = 10 ** 8
 MAX_FIELD_BINS = 10 ** 8
 
@@ -179,48 +186,27 @@ def build_ensemble(positions: np.ndarray, grid: TimeGrid, cloud: PointCloud,
     return GibbsEnsemble(positions, grid, hamiltonians, beta, cloud.box)
 
 
-@dataclass(frozen=True, eq=False)
-class OccupancyField:
-    """Grid estimate of the slab-wise ball occupancy probabilities.
+def _field_blocks(ensemble: GibbsEnsemble, h: float):
+    """Yield the occupancy field m(k, b) a block of finished slab rows at a time.
 
-    ``values[k, b]`` is the Gibbs probability that the path lies within r_d
-    of bin center b during slab k; ``time_mass[k]`` its cell-volume-weighted
-    total, which equals 1 exactly under continuum integration.  Everything
-    the localization observables need is here, so the functions that reduce
-    a field take the field alone.
-    """
-
-    h: float
-    centers: np.ndarray      # (B, d), lexicographically ordered
-    values: np.ndarray       # (n_steps, B)
-    time_mass: np.ndarray    # (n_steps,)
-
-    def integral(self, density: np.ndarray) -> float:
-        """Time mean of the cell sums of ``density``, an (n_steps, B) array on
-        these bins: the grid form of a space-time integral over t."""
-        return float(np.mean(np.sum(density, axis=1)) * self.h ** self.centers.shape[1])
-
-
-def _bin_centers(lo: np.ndarray, shape: np.ndarray, h: float) -> np.ndarray:
-    axes = [lo[i] + (np.arange(shape[i]) + 0.5) * h for i in range(len(shape))]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
-
-
-def occupancy_field(ensemble: GibbsEnsemble, h: float) -> OccupancyField:
-    """Exact ball tests of each path against the bin centers near it.
-
-    A ball of radius r_d around the slab position x can only contain centers
-    of bins within ceil(r_d / h) of the bin holding x; one more bin on each
-    side absorbs the rounding of that bin index.  The outer axes test every
-    bin of that stencil.  On the last axis a row's bins share its outer sum
-    ``rows`` and the centers c_j are monotone in j, so the bins passing
+    Exact ball tests of each path against the bin centers near it.  A ball of
+    radius r_d around the slab position x can only contain centers of bins
+    within ceil(r_d / h) of the bin holding x; one more bin on each side
+    absorbs the rounding of that bin index.  The outer axes test every bin of
+    that stencil.  On the last axis a row's bins share its outer sum ``rows``
+    and the centers c_j are monotone in j, so the bins passing
     ``rows + (x - c_j)**2 <= r_d**2`` form one run.  The chord half-width
     sqrt(r_d**2 - rows) puts each end within one bin of the true one, so that
     same test on the end and its outer neighbour finds the exact end.
     Entries run slab, path, row, bin and are accumulated by one ``bincount``
     per chunk, so every bin adds its paths in increasing path index: bins
     covered by the same paths hold bit-identical values.
+
+    Bins are in lexicographic order.  The rows live in a buffer of ``span``
+    slabs (the block bound of the module docstring).  Chunks run slab-major,
+    so when one reaches past the buffer the rows before its first slab are
+    finished: they are yielded as a view, valid until the next block is
+    drawn, and the unfinished rows move to the front of the zeroed buffer.
     """
     if h <= 0:
         raise InvalidParameterError(f"bin width must be positive, got {h}")
@@ -232,22 +218,28 @@ def occupancy_field(ensemble: GibbsEnsemble, h: float) -> OccupancyField:
             f"'bin_width' = {h} makes a field of {n * np.prod(shape):.3g} bins, "
             f"above the budget of {MAX_FIELD_BINS:.0e}")
     shape = shape.astype(np.int64)
-    centers = _bin_centers(lo, shape, h)
-    n_bins = centers.shape[0]
+    n_bins = int(np.prod(shape))
     strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)
     r = unit_ball_radius(d)
     reach = int(np.ceil(r / h)) + 1
     offsets = np.arange(-reach, reach + 1)
     w = ensemble.normalized_weights
-    values = np.zeros((n, n_bins))
     chunk = max(1, _CHUNK_ELEMENTS // len(offsets) ** d)
-    last = np.append(centers[:shape[-1], -1], np.inf)  # bins -1 and shape[-1] read the inf
+    span = min(n, max(_CHUNK_ELEMENTS // n_bins, math.ceil(chunk / n_paths) + 1))
+    values, base = np.zeros((span, n_bins)), 0  # base: the slab of the buffer's first row
+    # last-axis centers; bins -1 and shape[-1] read the inf
+    last = np.append(lo[-1] + (np.arange(shape[-1]) + 0.5) * h, np.inf)
     # (slab, path) pairs in slab-major order, a chunk of pairs at a time
     for start in range(0, n * n_paths, chunk):
         pair = np.arange(start, min(start + chunk, n * n_paths))
         slab, path = np.divmod(pair, n_paths)
         x = ensemble.positions[path, slab, :]
         k0, k1 = slab[0], slab[-1] + 1
+        if k1 > base + span:
+            yield values[:k0 - base]
+            values[:base + span - k0] = values[k0 - base:]
+            values[base + span - k0:] = 0.0
+            base = k0
         # outer axes: candidate bin indices and squared distances to their centers
         idx = np.floor((x[:, :-1] - lo[:-1]) / h).astype(np.int64)[:, :, np.newaxis] + offsets
         sq = (x[:, :-1, np.newaxis] - (lo[:-1, np.newaxis] + (idx + 0.5) * h)) ** 2
@@ -269,10 +261,9 @@ def occupancy_field(ensemble: GibbsEnsemble, h: float) -> OccupancyField:
         skip = np.cumsum(count) - count  # entries before each row
         bins = np.arange(count.sum()) + np.repeat((flat + jl).ravel() - skip, count)
         weights = np.repeat(w[path], count.reshape(len(pair), -1).sum(axis=1))
-        values[k0:k1] += np.bincount(bins, weights=weights,
-                                     minlength=(k1 - k0) * n_bins).reshape(k1 - k0, n_bins)
-    time_mass = values.sum(axis=1) * h ** d
-    return OccupancyField(h=h, centers=centers, values=values, time_mass=time_mass)
+        values[k0 - base:k1 - base] += np.bincount(
+            bins, weights=weights, minlength=(k1 - k0) * n_bins).reshape(k1 - k0, n_bins)
+    yield values[:n - base]
 
 
 @dataclass(frozen=True)
@@ -307,40 +298,49 @@ class TwoToOneReport:
         return min(slacks)
 
 
-def assert_two_to_one(fld: OccupancyField, delta: float, tol: float = 1e-9,
-                      seed: int | None = None,
-                      replicate: int | None = None) -> TwoToOneReport:
-    """All sides of the grid two-to-one inequalities of one field, asserted.
+def field_report(ensemble: GibbsEnsemble, h: float, delta: float, densities=(),
+                 tol: float = 1e-9, seed: int | None = None,
+                 replicate: int | None = None) -> tuple[TwoToOneReport, list[float]]:
+    """The grid two-to-one report of the ensemble's field at bin width ``h``,
+    asserted, and the integral of each density in ``densities``.
 
-    Raises ``InvariantViolationError`` carrying ``seed`` and ``replicate``
-    when a slack falls below -tol; otherwise returns the report, which
-    holds the field's replica and favourite overlaps and the three delta-set
-    measures at threshold ``delta`` in (0, 1/2].  The two tube measures are
+    Each block of slabs is reduced to per-slab sums as the kernel finishes
+    it.  A density maps field values to an array of their shape; its
+    integral is the time mean of its cell sums, the grid form of a
+    space-time integral over t.  A slack below -tol raises
+    ``InvariantViolationError`` carrying ``seed`` and ``replicate``.  The
+    report holds the replica and favourite overlaps and the three delta-set
+    measures at threshold ``delta`` in (0, 1/2]; the two tube measures are
     field sums because the Gibbs-weighted tube indicator at a bin center
     *is* the field value there.
     """
     if not (0.0 < delta <= 0.5):
         raise InvalidParameterError(f"delta must lie in (0, 1/2], got {delta}")
-    m = fld.values
-    maxima = m.max(axis=1)
-    r2 = fld.integral(m * m)
+    per_slab = [(np.max(m, axis=1), np.sum(m, axis=1), np.sum(m * m, axis=1),
+                 np.sum(m * (1.0 - m), axis=1),
+                 np.sum((m >= delta) & (m <= 1.0 - delta), axis=1),
+                 np.sum(m * (m <= delta), axis=1),
+                 np.sum((1.0 - m) * (m >= 1.0 - delta), axis=1),
+                 *(np.sum(density(m), axis=1) for density in densities))
+                for m in _field_blocks(ensemble, h)]
+    maxima, mass, *sums = (np.concatenate(column) for column in zip(*per_slab))
+    cell = h ** ensemble.d
+    r2, gap, middle, negligible, predominant, *integrals = (
+        float(np.mean(s) * cell) for s in sums)
+    time_mass = mass * cell
     r_star = float(np.mean(maxima))
-    gap = fld.integral(m * (1.0 - m))
-    mass_defect = float(np.mean(np.abs(1.0 - fld.time_mass)))
-    middle = fld.integral((m >= delta) & (m <= 1.0 - delta))
-    negligible = fld.integral(m * (m <= delta))
-    predominant = fld.integral((1.0 - m) * (m >= 1.0 - delta))
+    mass_defect = float(np.mean(np.abs(1.0 - time_mass)))
     report = TwoToOneReport(
         replica=r2, favourite=r_star, gap=gap, mass_defect=mass_defect,
         middle=middle, negligible=negligible, predominant=predominant,
-        slack_right_mass=float(np.mean(maxima * fld.time_mass)) - r2,
+        slack_right_mass=float(np.mean(maxima * time_mass)) - r2,
         slack_one_minus=(1.0 - r2 + mass_defect) - (1.0 - r_star),
         slack_middle=gap / (delta * (1.0 - delta)) - middle,
         slack_negligible=gap / (1.0 - delta) - negligible,
         slack_predominant=gap / (1.0 - delta) - predominant,
-        slack_left_d1=r2 - 0.5 * r_star ** 2 if fld.centers.shape[1] == 1 else None)
+        slack_left_d1=r2 - 0.5 * r_star ** 2 if ensemble.d == 1 else None)
     if report.min_slack() < -tol:
         raise InvariantViolationError(
             f"grid two-to-one inequality violated: min slack {report.min_slack():.3e}",
             seed=seed, replicate=replicate)
-    return report
+    return report, integrals

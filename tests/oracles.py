@@ -4,17 +4,23 @@ None of these is used by the library itself: each one recomputes a quantity
 the program obtains another way (the occupancy field, the grid replica
 overlap, the favourite overlap, tube counts, the added-point reweighting)
 by the slowest obvious route, or by the library's own earlier route where
-the test is bit-for-bit equality.
+the test is bit-for-bit equality.  The whole (n_steps, B) field and its
+whole-array two-to-one report are the oracles of the slab-streamed
+``polymer.field_report``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.special import betainc
 
+from poissonpolymer import polymer
 from poissonpolymer.environment import _CHUNK_ELEMENTS, PointCloud, batch_tube_counts
-from poissonpolymer.errors import InvalidParameterError
+from poissonpolymer.errors import InvalidParameterError, InvariantViolationError
 from poissonpolymer.geometry import unit_ball_radius
+from poissonpolymer.polymer import TwoToOneReport
 
 
 def ball_overlap_volume(d: int, rho):
@@ -42,15 +48,75 @@ def ball_overlap_volume(d: int, rho):
     return float(out) if np.isscalar(rho) or rho_arr.ndim == 0 else out
 
 
-def occupancy_field_dense(ensemble, h: float) -> np.ndarray:
-    """Field values (n_steps, B): every path tested against every bin center.
-
-    Bin centers are ``lo + (j + 0.5) * h`` per axis, in lexicographic order.
-    """
+def bin_centers(box, h: float) -> np.ndarray:
+    """Bin centers (B, d), ``lo + (j + 0.5) * h`` per axis, in lexicographic order."""
     axes = [lo + (np.arange(int(np.ceil((hi - lo) / h))) + 0.5) * h
-            for lo, hi in zip(ensemble.box.lo, ensemble.box.hi)]
+            for lo, hi in zip(box.lo, box.hi)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    centers = np.column_stack([m.ravel() for m in mesh])
+    return np.column_stack([m.ravel() for m in mesh])
+
+
+@dataclass(frozen=True, eq=False)
+class OccupancyField:
+    """The whole grid field: ``values[k, b]`` is the Gibbs probability that
+    the path lies within r_d of bin center b during slab k, ``time_mass[k]``
+    its cell-volume-weighted total."""
+
+    h: float
+    centers: np.ndarray      # (B, d), lexicographically ordered
+    values: np.ndarray       # (n_steps, B)
+    time_mass: np.ndarray    # (n_steps,)
+
+    def integral(self, density: np.ndarray) -> float:
+        """Time mean of the cell sums of ``density``, an (n_steps, B) array on
+        these bins: the grid form of a space-time integral over t."""
+        return float(np.mean(np.sum(density, axis=1)) * self.h ** self.centers.shape[1])
+
+
+def occupancy_field(ensemble, h: float) -> OccupancyField:
+    """The library's slab blocks, each copied before the kernel goes on,
+    stacked into the whole (n_steps, B) field."""
+    values = np.concatenate([block.copy() for block in polymer._field_blocks(ensemble, h)])
+    time_mass = values.sum(axis=1) * h ** ensemble.d
+    return OccupancyField(h=h, centers=bin_centers(ensemble.box, h), values=values,
+                          time_mass=time_mass)
+
+
+def assert_two_to_one(fld: OccupancyField, delta: float, tol: float = 1e-9,
+                      seed: int | None = None,
+                      replicate: int | None = None) -> TwoToOneReport:
+    """The grid two-to-one report from whole-array reductions of one field,
+    asserted: the route the library took before it streamed the field."""
+    if not (0.0 < delta <= 0.5):
+        raise InvalidParameterError(f"delta must lie in (0, 1/2], got {delta}")
+    m = fld.values
+    maxima = m.max(axis=1)
+    r2 = fld.integral(m * m)
+    r_star = float(np.mean(maxima))
+    gap = fld.integral(m * (1.0 - m))
+    mass_defect = float(np.mean(np.abs(1.0 - fld.time_mass)))
+    middle = fld.integral((m >= delta) & (m <= 1.0 - delta))
+    negligible = fld.integral(m * (m <= delta))
+    predominant = fld.integral((1.0 - m) * (m >= 1.0 - delta))
+    report = TwoToOneReport(
+        replica=r2, favourite=r_star, gap=gap, mass_defect=mass_defect,
+        middle=middle, negligible=negligible, predominant=predominant,
+        slack_right_mass=float(np.mean(maxima * fld.time_mass)) - r2,
+        slack_one_minus=(1.0 - r2 + mass_defect) - (1.0 - r_star),
+        slack_middle=gap / (delta * (1.0 - delta)) - middle,
+        slack_negligible=gap / (1.0 - delta) - negligible,
+        slack_predominant=gap / (1.0 - delta) - predominant,
+        slack_left_d1=r2 - 0.5 * r_star ** 2 if fld.centers.shape[1] == 1 else None)
+    if report.min_slack() < -tol:
+        raise InvariantViolationError(
+            f"grid two-to-one inequality violated: min slack {report.min_slack():.3e}",
+            seed=seed, replicate=replicate)
+    return report
+
+
+def occupancy_field_dense(ensemble, h: float) -> np.ndarray:
+    """Field values (n_steps, B): every path tested against every bin center."""
+    centers = bin_centers(ensemble.box, h)
     r2 = unit_ball_radius(ensemble.d) ** 2
     w = ensemble.normalized_weights
     values = np.empty((ensemble.grid.n_steps, centers.shape[0]))
@@ -67,7 +133,7 @@ def occupancy_field_candidates(ensemble, h: float,
     Each (slab, path) pair is tested against all ``(2R + 1)^d`` bins around
     the bin holding it, ``R = ceil(r_d / h) + 1``, and the kept entries, in
     slab, path, stencil-offset order, feed one ``bincount`` per chunk of
-    ``chunk_elements // (2R + 1)^d`` pairs.  ``occupancy_field`` tests only
+    ``chunk_elements // (2R + 1)^d`` pairs.  ``polymer._field_blocks`` tests only
     the ends of each row's run of inside bins but keeps these entries, their
     order and the chunks, so it must equal this bit for bit.
     """

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_ensemble
+from conftest import random_gibbs_ensemble
 from poissonpolymer.analytics import (
     annealed_gap_integrand,
     annealed_rate,
@@ -31,7 +31,8 @@ from poissonpolymer.estimators import (
     nu_monotonicity,
     quenched_free_energy,
 )
-from poissonpolymer.polymer import assert_two_to_one
+from poissonpolymer.geometry import unit_ball_radius
+from poissonpolymer.polymer import field_report
 
 SEED = 20260810
 
@@ -139,10 +140,10 @@ class TestCriterion4ExactGridInequalities:
             beta = float(rng.uniform(-2.0, 2.0))
             nu = float(rng.uniform(0.5, 4.0))
             n_paths = int(rng.integers(8, 65))
-            _, fld = random_ensemble(seed=3000 + trial, beta=beta, nu=nu,
-                                     t=2.0, n_steps=128, n_paths=n_paths)
-            rep = assert_two_to_one(fld, delta=0.25, tol=1e-9,
-                                    seed=3000 + trial, replicate=trial)
+            ens = random_gibbs_ensemble(seed=3000 + trial, beta=beta, nu=nu,
+                                        t=2.0, n_steps=128, n_paths=n_paths)
+            rep, _ = field_report(ens, unit_ball_radius(1) / 4, delta=0.25, tol=1e-9,
+                                  seed=3000 + trial, replicate=trial)
             worst = min(worst, rep.min_slack())
         elapsed = time.perf_counter() - start
         report("4", worst >= -1e-9,

@@ -18,10 +18,13 @@ _SOURCE = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 tracing = types.ModuleType("bench_tracing")
 exec(compile(_SOURCE.read_text(), str(_SOURCE), "exec"), tracing.__dict__)
 
-# traced names the program binds nowhere: the field report computes the
-# reductions, and the annealed loop counts its draws inline
+# traced names the program binds nowhere: the streamed field report builds
+# the field and computes the reductions, and the annealed loop counts its
+# draws inline
 ABSENT = {
     "poissonpolymer.cli.dp_dnu_fd",
+    "poissonpolymer.estimators.occupancy_field",
+    "poissonpolymer.estimators.assert_two_to_one",
     "poissonpolymer.estimators.replica_overlap",
     "poissonpolymer.estimators.favourite_path",
     "poissonpolymer.estimators.favourite_overlap",
@@ -32,8 +35,8 @@ ABSENT = {
 PATH_LAYERS = {"polymer.sample_paths", "polymer.build_ensemble",
                "environment.batch_tube_counts"}
 FIELD_LAYERS = PATH_LAYERS | {"polymer.occupancy_field", "polymer.assert_two_to_one"}
-LAYERS_BUILT = {"quenched": PATH_LAYERS, "annealed": set(), "localization": FIELD_LAYERS,
-                "dp-dbeta": FIELD_LAYERS, "dp-dnu": FIELD_LAYERS}
+LAYERS_BUILT = {"quenched": PATH_LAYERS, "annealed": set(), "localization": PATH_LAYERS,
+                "dp-dbeta": PATH_LAYERS, "dp-dnu": PATH_LAYERS}
 
 
 @pytest.mark.parametrize("mode", MODES)

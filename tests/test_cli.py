@@ -184,9 +184,10 @@ class TestSimulate:
         ("d", "0", "quenched"), ("d", "-1", "localization"),
         ("beta", "800", "dp-dbeta"), ("beta", "800", "annealed"),
         ("beta", "-351", "dp-dnu"), ("beta", "1e308", "quenched"),
-        ("beta", "1e308", "localization")],
+        ("beta", "1e308", "localization"), ("nu", "0", "dp-dnu")],
         ids=["d-0", "d-negative", "beta-800-dp-dbeta", "beta-800-annealed",
-             "beta-minus-351", "beta-1e308-quenched", "beta-1e308-localization"])
+             "beta-minus-351", "beta-1e308-quenched", "beta-1e308-localization",
+             "nu-0-dp-dnu"])
     def test_out_of_range_value_names_key(self, tmp_path, capsys, key, value, mode):
         kept = [line for line in MINIMAL.splitlines()
                 if not line.startswith((f"{key} ", "mode "))]

@@ -20,7 +20,7 @@ from poissonpolymer.estimators import (
     quenched_free_energy,
 )
 from poissonpolymer.geometry import unit_ball_radius
-from poissonpolymer.polymer import WINDOW_MARGIN
+from poissonpolymer.polymer import WINDOW_MARGIN, bounding_box_for, sample_paths
 from poissonpolymer.streams import substream
 
 
@@ -283,3 +283,20 @@ class TestLocalizationScan:
     def test_degenerate_weights_warn(self):
         with pytest.warns(RuntimeWarning, match="degenerate"):
             localization_scan(cfg(beta=4.0, nu=3.0, n_envs=2, n_paths=150, n_steps=16))
+
+    def test_field_is_never_held_whole(self):
+        # the replicate's whole (n_steps, B) field would take about 9.7 MB;
+        # the streamed report holds one block of slabs and chunk scratch next
+        # to the 0.4 MB path stack
+        c = cfg(d=2, t=2.0, n_steps=256, n_paths=100, n_envs=1)
+        positions = sample_paths(c.grid, c.d, c.n_paths, substream(c.seed, "paths", 0))
+        lo, hi = bounding_box_for(positions)
+        field = c.n_steps * np.prod(np.ceil((np.array(hi) - lo) / c.bin_width)) * 8
+        positions = None
+        tracemalloc.start()
+        try:
+            localization_scan(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * field, f"peak {peak / 1e6:.1f} MB, field {field / 1e6:.1f} MB"

@@ -8,13 +8,16 @@ from scipy.special import logsumexp
 from conftest import random_ensemble
 from oracles import (
     add_palm_point,
+    assert_two_to_one,
     favourite_overlap_pathwise,
+    occupancy_field,
     occupancy_field_candidates,
     occupancy_field_dense,
     replica_overlap_pairwise,
     sample_paths_single_draw,
 )
 from poissonpolymer import polymer
+from poissonpolymer.analytics import _log_tilt, _tilt
 from poissonpolymer.environment import PointCloud, SpaceTimeBox, sample_poisson, slab_indices
 from poissonpolymer.errors import (
     InvalidParameterError,
@@ -24,12 +27,10 @@ from poissonpolymer.errors import (
 from poissonpolymer.geometry import unit_ball_radius
 from poissonpolymer.polymer import (
     GibbsEnsemble,
-    OccupancyField,
     TimeGrid,
-    assert_two_to_one,
     bounding_box_for,
     build_ensemble,
-    occupancy_field,
+    field_report,
     sample_paths,
 )
 from poissonpolymer.streams import substream
@@ -210,7 +211,7 @@ class TestOccupancyField:
     def test_invalid_bin_width(self):
         ens, _ = random_ensemble(seed=5)
         with pytest.raises(InvalidParameterError):
-            occupancy_field(ens, h=0.0)
+            field_report(ens, 0.0, delta=0.25)
 
     # the window is exactly as wide as the tubes, so the balls reach its
     # partial edge bins and the stencil reaches past it; h = 1.3 r is > r_d
@@ -338,6 +339,8 @@ class TestDeltaSets:
         ens, fld = random_ensemble(seed=30)
         for bad in (0.0, -0.1, 0.6):
             with pytest.raises(InvalidParameterError):
+                field_report(ens, fld.h, bad)
+            with pytest.raises(InvalidParameterError):
                 assert_two_to_one(fld, bad)
 
     def test_two_far_paths_middle_mass(self):
@@ -369,14 +372,41 @@ class TestTwoToOne:
         report = assert_two_to_one(fld, delta=0.25)
         assert report.slack_left_d1 >= -1e-9
 
-    def test_violation_raises_with_seed(self):
-        _, fld = random_ensemble(seed=40)
-        doctored = OccupancyField(h=fld.h, centers=fld.centers,
-                                  values=np.full_like(fld.values, 2.0),
-                                  time_mass=fld.time_mass)
+    def test_violation_raises_with_seed(self, monkeypatch):
+        # a doctored field of 2s, handed over in two blocks of slabs
+        ens, fld = random_ensemble(seed=40)
+        doctored = np.full_like(fld.values, 2.0)
+        monkeypatch.setattr(polymer, "_field_blocks",
+                            lambda ensemble, h: iter([doctored[:5], doctored[5:]]))
         with pytest.raises(InvariantViolationError) as err:
-            assert_two_to_one(doctored, delta=0.25, seed=7, replicate=3)
+            field_report(ens, fld.h, delta=0.25, seed=7, replicate=3)
         assert err.value.seed == 7 and err.value.replicate == 3
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_streamed_report_equals_whole_field_oracle(self, d, monkeypatch):
+        # every report field and density integral, bit for bit, over blocks
+        # from one slab up to the whole field and chunks straddling block edges
+        rng = np.random.default_rng(90 + d)
+        chunks = (2 ** 16, 1, 7 * 11 ** d, 50)
+        densities = (lambda m: m / _tilt(0.7, m), lambda m: _log_tilt(0.7, m))
+        kernel, block_slabs = polymer._field_blocks, []
+
+        def recorded(ensemble, h):
+            for block in kernel(ensemble, h):
+                block_slabs.append(len(block))
+                yield block
+
+        monkeypatch.setattr(polymer, "_field_blocks", recorded)
+        for case in range(30):
+            h = (0.25, 0.3, 1.3)[case % 3] * unit_ball_radius(d)
+            delta = (0.5, 0.25, 0.1)[case // 10]
+            ens = edge_ensemble(d, h, rng, n_steps=int(rng.integers(1, 24)))
+            monkeypatch.setattr(polymer, "_CHUNK_ELEMENTS", chunks[case % 4])
+            report, integrals = field_report(ens, h, delta, densities, tol=math.inf)
+            fld = occupancy_field(ens, h)
+            assert report == assert_two_to_one(fld, delta, tol=math.inf), case
+            assert integrals == [fld.integral(f(fld.values)) for f in densities], case
+        assert block_slabs.count(1) >= 10 and len(block_slabs) >= 120
 
 
 class TestPalmIdentity:
