@@ -28,7 +28,6 @@ from .environment import (
     PointCloud,
     SpaceTimeBox,
     sample_poisson,
-    superpose,
 )
 from .estimators import (
     EstimateWithError,

@@ -291,9 +291,9 @@ def _linspace(parse):
         if len(parts) != 3:
             raise argparse.ArgumentTypeError("grid must be 'start,stop,count'")
         start, stop, count = parse(parts[0]), parse(parts[1]), int(parts[2])
-        if count < 2:
-            return [start]
-        return [start + (stop - start) * i / (count - 1) for i in range(count)]
+        if not 1 <= count <= 10 ** 6:  # refused before any grid point is built
+            raise argparse.ArgumentTypeError(f"grid count must lie in [1, 1e6], got {count}")
+        return [start + (stop - start) * i / max(1, count - 1) for i in range(count)]
     return grid
 
 

@@ -1,10 +1,10 @@
 """The Poisson space-time medium.
 
 A realization of the medium is a finite point cloud in a bounded window
-``(0, t_max] x [lo, hi]^d``.  Clouds are immutable, stored in a canonical
-order (time ascending, ties broken by lexicographic coordinates) so that
-every reduction over points is reproducible regardless of how the cloud was
-assembled.
+``(0, t_max] x [lo, hi]^d``.  Clouds are immutable and keep their points in
+the order they were drawn: every reduction over points is an integer count,
+so no result depends on that order, and the tube counts of independent
+clouds add up to the count of their union.
 
 Paths interact with the medium through their tube: a point (s, x) is
 collected when the path position at the slab containing s lies within r_d
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompatibleBoxError, InvalidParameterError
+from .errors import InvalidParameterError
 from .geometry import unit_ball_radius
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "draw_poisson",
     "sample_poisson",
     "batch_tube_counts",
-    "superpose",
     "slab_indices",
 ]
 
@@ -72,12 +71,6 @@ class SpaceTimeBox:
         return len(self.lo)
 
 
-def _canonical_order(times: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    # np.lexsort uses the last key as primary: time first, then x_1, ..., x_d
-    keys = tuple(coords[:, j] for j in range(coords.shape[1] - 1, -1, -1)) + (times,)
-    return np.lexsort(keys)
-
-
 @dataclass(frozen=True, eq=False)
 class PointCloud:
     """Finite realization of the medium inside a box."""
@@ -87,14 +80,11 @@ class PointCloud:
     box: SpaceTimeBox
 
     def __post_init__(self):
-        times = np.atleast_1d(np.asarray(self.times, dtype=float))
-        coords = np.asarray(self.coords, dtype=float).reshape(len(times), self.box.d)
-        order = _canonical_order(times, coords)
-        times, coords = times[order].copy(), coords[order].copy()
+        times = np.atleast_1d(np.array(self.times, dtype=float))
+        coords = np.array(self.coords, dtype=float).reshape(len(times), self.box.d)
         if len(times) and (times.min() <= 0 or times.max() > self.box.t_max):
             raise InvalidParameterError("point times must lie in (0, t_max]")
-        lo, hi = np.asarray(self.box.lo), np.asarray(self.box.hi)
-        if len(times) and (np.any(coords < lo) or np.any(coords > hi)):
+        if len(times) and (np.any(coords < self.box.lo) or np.any(coords > self.box.hi)):
             raise InvalidParameterError("point coordinates must lie inside the box")
         times.setflags(write=False)
         coords.setflags(write=False)
@@ -151,13 +141,14 @@ def batch_tube_counts(cloud: PointCloud, positions: np.ndarray,
 
     Points beyond the path horizon t are ignored; every live point is tested
     against each path's position at the point's slab, a chunk of points at a
-    time.
+    time in slab order, so that a chunk gathers a narrow band of the stack.
     """
     n_paths, _, d = positions.shape
     counts = np.zeros(n_paths, dtype=np.int64)
     live = cloud.times <= t
     ks = slab_indices(cloud.times[live], t, n_steps)
-    coords = cloud.coords[live]
+    order = np.argsort(ks)
+    ks, coords = ks[order], cloud.coords[live][order]
     r2 = unit_ball_radius(d) ** 2
     chunk = max(1, _CHUNK_ELEMENTS // (n_paths * d))
     for start in range(0, len(ks), chunk):
@@ -166,11 +157,3 @@ def batch_tube_counts(cloud: PointCloud, positions: np.ndarray,
         counts += (np.einsum("mpd,mpd->mp", diff, diff) <= r2).sum(axis=1)
     return counts
 
-
-def superpose(cloud_a: PointCloud, cloud_b: PointCloud) -> PointCloud:
-    """Multiset union of two clouds on the same box; Poisson intensities add."""
-    if cloud_a.box != cloud_b.box:
-        raise IncompatibleBoxError("clouds live on different boxes")
-    return PointCloud(times=np.concatenate([cloud_a.times, cloud_b.times]),
-                      coords=np.concatenate([cloud_a.coords, cloud_b.coords]),
-                      box=cloud_a.box)

@@ -5,10 +5,6 @@ class InvalidParameterError(ValueError):
     """A scalar argument violates its precondition (dimension, intensity, ...)."""
 
 
-class IncompatibleBoxError(ValueError):
-    """Two point clouds live on different space-time windows."""
-
-
 class WindowCoverageError(RuntimeError):
     """The sampled cloud window does not cover every path tube.
 

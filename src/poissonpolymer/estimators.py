@@ -17,9 +17,10 @@ estimates over path-batch ensembles carry the diagnostics of
 Derivative estimators return all their estimates from that one pass:
 ``dp_dbeta`` the direct, Palm and finite-difference forms, ``dp_dnu`` the
 field and coupled-difference forms.  Finite differences share the random
-numbers of both evaluation points (same path batch and same cloud, or the
-coupled cloud superposition for intensity differences); the difference
-variance collapses by orders of magnitude compared to independent runs.
+numbers of both evaluation points (same path batch and same cloud, or for
+intensity differences the lower cloud's tube counts plus those of an
+independent increment cloud); the difference variance collapses by orders
+of magnitude compared to independent runs.
 """
 
 from __future__ import annotations
@@ -32,11 +33,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytics import _log_tilt, _tilt
-from .environment import _CHUNK_ELEMENTS, SpaceTimeBox, draw_poisson, sample_poisson, superpose
+from .environment import (_CHUNK_ELEMENTS, SpaceTimeBox, batch_tube_counts, draw_poisson,
+                          sample_poisson)
 from .errors import InvalidParameterError
 from .geometry import unit_ball_radius
 from .polymer import (
     MAX_PATH_ELEMENTS,
+    GibbsEnsemble,
     TimeGrid,
     WINDOW_MARGIN,
     bounding_box_for,
@@ -146,17 +149,18 @@ def _over_environments(cfg: ExperimentConfig, reduce, nus=None, extra_nu=None,
     Replicate i samples its path batch once, sizes the window from it and
     weights it in one cloud per intensity in ``nus`` (default ``cfg.nu``),
     each drawn from the ("cloud", i) substream.  With ``extra_nu`` one more
-    ensemble sees the last of those clouds superposed with an independent
-    ``extra_nu`` cloud from ("cloud-extra", i), the coupling behind intensity
-    differences.  With ``densities`` (a tuple, possibly empty) the report of
-    the re-asserted grid inequalities of the first ensemble's field, which
-    holds the overlaps and delta sets, and the field integral of each density
-    follow the ensembles.  ``reduce(*ensembles)`` returns a tuple
-    of floats; the result is one array per tuple slot in replicate order, plus
-    the diagnostics ``ess_min``, ``ess_median`` and ``ess_degenerate`` of the
-    first ensemble, the mean point count of its cloud and the mean window
-    volume (``points_mean``, ``window_volume_mean``) and, with ``densities``,
-    the worst ``min_slack``.  No replicate's path stack outlives the replicate.
+    ensemble adds to the last one's Hamiltonians the tube counts in an
+    independent ``extra_nu`` cloud from ("cloud-extra", i): the counts in the
+    union of the two clouds, the coupling behind intensity differences.  With
+    ``densities`` (a tuple, possibly empty) the report of the re-asserted grid
+    inequalities of the first ensemble's field, which holds the overlaps and
+    delta sets, and the field integral of each density follow the ensembles.
+    ``reduce(*ensembles)`` returns a tuple of floats; the result is one array
+    per tuple slot in replicate order, plus the diagnostics ``ess_min``,
+    ``ess_median`` and ``ess_degenerate`` of the first ensemble, the mean
+    point count of its cloud and the mean window volume (``points_mean``,
+    ``window_volume_mean``) and, with ``densities``, the worst ``min_slack``.
+    No replicate's path stack outlives the replicate.
     """
     cfg.check_path_budget()
     grid = cfg.grid
@@ -169,10 +173,12 @@ def _over_environments(cfg: ExperimentConfig, reduce, nus=None, extra_nu=None,
         box = SpaceTimeBox(t_max=cfg.t, lo=lo, hi=hi)
         clouds = [sample_poisson(box, nu, substream(cfg.seed, "cloud", i))
                   for nu in (nus or (cfg.nu,))]
+        ensembles = [build_ensemble(positions, grid, cloud, cfg.beta) for cloud in clouds]
         if extra_nu is not None:
             extra = sample_poisson(box, extra_nu, substream(cfg.seed, "cloud-extra", i))
-            clouds.append(superpose(clouds[-1], extra))
-        ensembles = [build_ensemble(positions, grid, cloud, cfg.beta) for cloud in clouds]
+            ensembles.append(GibbsEnsemble(
+                positions, grid, ensembles[-1].hamiltonians
+                + batch_tube_counts(extra, positions, grid.t, grid.n_steps), cfg.beta, box))
         stats.append((ensembles[0].ess, clouds[0].n_points, box.volume))
         if densities is not None:
             report, integrals = field_report(ensembles[0], cfg.bin_width, cfg.delta,
@@ -242,15 +248,17 @@ def annealed_free_energy(cfg: ExperimentConfig) -> dict[str, EstimateWithError]:
         value, se, cfg.n_envs, {"target": cfg.nu * math.expm1(cfg.beta)})}
 
 
-def dp_dbeta(cfg: ExperimentConfig, eps: float = 0.05) -> dict[str, EstimateWithError]:
+def dp_dbeta(cfg: ExperimentConfig) -> dict[str, EstimateWithError]:
     """Beta-derivative of the quenched free energy, three ways, from one pass.
 
     dp_dbeta_direct: Gibbs mean of the Hamiltonian over t.
     dp_dbeta_palm: the added-point identity turns the derivative into
         nu e^beta times the field integral of m / (1 + lambda m).
     dp_dbeta_finite_difference: central difference of (1/t) ln Z_hat at
-        beta +- eps with common random numbers (same paths, same cloud).
+        beta +- 0.05 with common random numbers (same paths, same cloud).
     """
+    eps = 0.05
+
     def reduce(ens, report, palm):
         return (ens.mean_h / cfg.t,
                 cfg.nu * math.exp(cfg.beta) * palm,
@@ -262,19 +270,18 @@ def dp_dbeta(cfg: ExperimentConfig, eps: float = 0.05) -> dict[str, EstimateWith
             in zip(("direct", "palm", "finite_difference"), columns)}
 
 
-def dp_dnu(cfg: ExperimentConfig, eps: float | None = None) -> dict[str, EstimateWithError]:
+def dp_dnu(cfg: ExperimentConfig) -> dict[str, EstimateWithError]:
     """Intensity-derivative two ways, from one pass over shared path batches.
 
     dp_dnu_field: the field integral of ln(1 + lambda m) at nu.
-    dp_dnu_coupled_fd: central difference of (1/t) ln Z_hat in the
-        intensity, where the nu + eps cloud is the nu - eps cloud superposed
-        with an independent 2 eps cloud, on the same path batch.
+    dp_dnu_coupled_fd: central difference of (1/t) ln Z_hat at nu +- eps,
+        eps = 0.05 nu, on the same path batch: the nu + eps tube counts
+        are the nu - eps counts plus those of an independent 2 eps cloud.
     """
-    if eps is None:
-        eps = 0.05 * cfg.nu
-    if not 0.0 < eps < cfg.nu:
-        raise InvalidParameterError(f"invalid config value for key 'nu': the coupled "
-                                    f"difference needs 0 < eps < nu, got eps = {eps}")
+    if cfg.nu <= 0:
+        raise InvalidParameterError("invalid config value for key 'nu': the coupled "
+                                    "difference needs nu > 0")
+    eps = 0.05 * cfg.nu
 
     def reduce(ens, ens_lo, ens_hi, report, field_integral):
         return (field_integral, (ens_hi.log_z_hat - ens_lo.log_z_hat) / (2.0 * eps * cfg.t))
@@ -289,7 +296,7 @@ def dp_dnu(cfg: ExperimentConfig, eps: float | None = None) -> dict[str, Estimat
 def nu_monotonicity(cfg: ExperimentConfig, nu_lo: float) -> dict[str, EstimateWithError]:
     """Coupled estimate of p(beta, nu) - p(beta, nu_lo) and its bound slacks.
 
-    The nu-cloud is built as the nu_lo-cloud plus an independent
+    The nu tube counts are the nu_lo counts plus those of an independent
     (nu - nu_lo)-cloud on the same window, with the same path batch, so the
     monotone coupling bounds hold replicate by replicate in expectation.
     Returns the ``difference``, its ``lower`` slack (difference minus

@@ -164,7 +164,7 @@ class TestCriterion5DerivativeCrossChecks:
 
     def test_direct_vs_palm_and_fd(self):
         start = time.perf_counter()
-        est = dp_dbeta(CFG56, eps=0.05)
+        est = dp_dbeta(CFG56)
         direct, palm, fd = (est[f"dp_dbeta_{form}"]
                             for form in ("direct", "palm", "finite_difference"))
         allowance = 0.05 * CFG56.nu * math.exp(CFG56.beta)

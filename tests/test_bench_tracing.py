@@ -19,8 +19,8 @@ tracing = types.ModuleType("bench_tracing")
 exec(compile(_SOURCE.read_text(), str(_SOURCE), "exec"), tracing.__dict__)
 
 # traced names the program binds nowhere: the streamed field report builds
-# the field and computes the reductions, and the annealed loop counts its
-# draws inline
+# the field and computes the reductions, the annealed loop counts its draws
+# inline, and the coupled ensemble adds tube counts instead of merging clouds
 ABSENT = {
     "poissonpolymer.cli.dp_dnu_fd",
     "poissonpolymer.estimators.occupancy_field",
@@ -30,6 +30,7 @@ ABSENT = {
     "poissonpolymer.estimators.favourite_overlap",
     "poissonpolymer.estimators.delta_sets",
     "poissonpolymer.estimators.count_in_tube",
+    "poissonpolymer.estimators.superpose",
 }
 
 PATH_LAYERS = {"polymer.sample_paths", "polymer.build_ensemble",

@@ -428,6 +428,11 @@ class TestAnalytic:
         assert len(lines) == 4
         assert float(lines[1].split(",")[1]) == 0.0
 
+    def test_one_point_grid(self, capsys):
+        lines = self.run_lines(capsys, "lambda", "--grid", "0.5,1,1")
+        assert len(lines) == 2
+        assert float(lines[1].split(",")[0]) == 0.5
+
     def test_psi_phi_finite_at_strongly_negative_beta(self, capsys):
         # 1 + lambda u cancels at u = 1 once e^beta is below about 1e-14
         _, row = self.run_lines(capsys, "psi-phi", "--beta", "-40", "--u", "1")
@@ -444,6 +449,10 @@ class TestAnalytic:
     @pytest.mark.parametrize("argv,flag", [
         (["lambda", "--beta", "1000"], "--beta"),
         (["lambda", "--grid", "0,1000,3"], "--grid"),
+        (["lambda", "--grid", "0,1,0"], "--grid"),
+        (["lambda", "--grid", "0,1,-3"], "--grid"),
+        (["alpha", "--grid", "0,1,1000001"], "--grid"),
+        (["h-alpha", "--alpha", "1", "--u-grid", "0,1,1000001"], "--u-grid"),
         (["alpha", "--beta", "1000"], "--beta"),
         (["alpha", "--beta", "-1000"], "--beta"),
         (["alpha", "--beta", "nan"], "--beta"),
@@ -454,7 +463,9 @@ class TestAnalytic:
         (["bc-bounds", "--branch", "plus", "--beta0", "0.6931", "--nu0", "1",
           "--alpha", "1", "--nu", "nan"], "--nu"),
         (["l2", "--beta", "0", "--nu", "1", "--a-l2", "inf"], "--a-l2"),
-    ], ids=["lambda-beta-big", "lambda-grid-big", "alpha-beta-big", "alpha-beta-negative",
+    ], ids=["lambda-beta-big", "lambda-grid-big", "lambda-grid-count-0",
+            "lambda-grid-count-negative", "alpha-grid-count-big", "h-alpha-u-grid-count-big",
+            "alpha-beta-big", "alpha-beta-negative",
             "alpha-beta-nan", "psi-phi-beta-big", "psi-phi-u-inf", "classify-beta-big",
             "bc-bounds-nu-nan", "l2-a-l2-inf"])
     def test_bad_argument_names_flag(self, capsys, argv, flag):

@@ -14,9 +14,8 @@ from poissonpolymer.environment import (
     draw_poisson,
     sample_poisson,
     slab_indices,
-    superpose,
 )
-from poissonpolymer.errors import IncompatibleBoxError, InvalidParameterError
+from poissonpolymer.errors import InvalidParameterError
 from poissonpolymer.geometry import unit_ball_radius
 from poissonpolymer.polymer import TimeGrid, bounding_box_for, sample_paths
 from poissonpolymer.streams import substream
@@ -82,12 +81,39 @@ class TestSampling:
         se_var = math.sqrt((3.0 * target ** 2 + target - target ** 2) / n_rep)
         assert abs(counts.var(ddof=1) - target) <= 4.0 * se_var
 
-    def test_points_inside_box_and_sorted(self):
+    def test_points_inside_box(self):
         cloud = sample_poisson(BOX1, 5.0, substream(7, "cloud", 0))
         assert np.all(cloud.times > 0) and np.all(cloud.times <= BOX1.t_max)
         assert np.all(cloud.coords >= BOX1.lo[0])
         assert np.all(cloud.coords <= BOX1.hi[0])
-        assert np.all(np.diff(cloud.times) >= 0)
+
+    def test_points_kept_as_drawn(self):
+        times, coords, _ = draw_poisson(BOX1, 5.0, (substream(7, "cloud", 0),))
+        cloud = sample_poisson(BOX1, 5.0, substream(7, "cloud", 0))
+        assert np.any(np.diff(times) < 0)  # the draw is not time-ordered
+        assert np.array_equal(cloud.times, times)
+        assert np.array_equal(cloud.coords, coords)
+
+
+class TestPointCloud:
+    def test_copies_inputs_and_leaves_them_writable(self):
+        times = np.array([1.5, 0.5, 1.0])
+        coords = np.array([[0.25], [-1.0], [1.0]])
+        cloud = PointCloud(times=times, coords=coords, box=BOX1)
+        assert times.flags.writeable and coords.flags.writeable
+        assert not np.shares_memory(cloud.times, times)
+        assert not np.shares_memory(cloud.coords, coords)
+        assert not cloud.times.flags.writeable and not cloud.coords.flags.writeable
+        times[0], coords[0, 0] = 2.0, 0.0
+        assert cloud.times.tolist() == [1.5, 0.5, 1.0]
+        assert cloud.coords.ravel().tolist() == [0.25, -1.0, 1.0]
+
+    @pytest.mark.parametrize("times,coords", [([0.0], [[0.0]]), ([2.5], [[0.0]]),
+                                              ([1.0], [[-1.6]]), ([1.0], [[1.6]])],
+                             ids=["time-zero", "time-late", "x-low", "x-high"])
+    def test_points_outside_box_refused(self, times, coords):
+        with pytest.raises(InvalidParameterError):
+            PointCloud(times=np.array(times), coords=np.array(coords), box=BOX1)
 
 
 class TestDrawPoisson:
@@ -157,7 +183,10 @@ class TestCountInTube:
         path = self.straight_path()
         a = sample_poisson(BOX1, 2.0, substream(5, "cloud", 0))
         b = sample_poisson(BOX1, 3.0, substream(5, "cloud", 1))
-        assert (count_in_tube(superpose(a, b), path, T1)
+        both = PointCloud(times=np.concatenate([a.times, b.times]),
+                          coords=np.concatenate([a.coords, b.coords]), box=BOX1)
+        assert count_in_tube(a, path, T1) > 0 and count_in_tube(b, path, T1) > 0
+        assert (count_in_tube(both, path, T1)
                 == count_in_tube(a, path, T1) + count_in_tube(b, path, T1))
 
     def test_slab_convention_left_constant(self):
@@ -278,27 +307,6 @@ class TestPalmPoint:
 
 
 class TestSuperpose:
-    def test_identity_with_empty(self):
-        cloud = sample_poisson(BOX1, 2.0, substream(41, "cloud", 0))
-        empty = PointCloud(times=np.empty(0), coords=np.empty((0, 1)), box=BOX1)
-        merged = superpose(cloud, empty)
-        assert np.array_equal(merged.times, cloud.times)
-        assert np.array_equal(merged.coords, cloud.coords)
-
-    def test_counts_add(self):
-        a = sample_poisson(BOX1, 1.0, substream(42, "cloud", 0))
-        b = sample_poisson(BOX1, 2.5, substream(42, "cloud", 1))
-        merged = superpose(a, b)
-        assert merged.n_points == a.n_points + b.n_points
-        assert np.array_equal(merged.times, np.sort(np.concatenate([a.times, b.times])))
-
-    def test_box_mismatch(self):
-        other = SpaceTimeBox(t_max=2.0, lo=(-1.0,), hi=(1.0,))
-        a = sample_poisson(BOX1, 1.0, substream(43, "cloud", 0))
-        b = sample_poisson(other, 1.0, substream(43, "cloud", 1))
-        with pytest.raises(IncompatibleBoxError):
-            superpose(a, b)
-
     def test_superposition_matches_poisson_chisquare(self):
         # Poisson(nu') + Poisson(nu - nu') counts vs Poisson(nu) pmf at 1%
         box = SpaceTimeBox(t_max=1.0, lo=(0.0,), hi=(2.0,))
@@ -308,7 +316,7 @@ class TestSuperpose:
         for i in range(n_rep):
             a = sample_poisson(box, nu_lo, substream(44, "cloud", i))
             b = sample_poisson(box, nu - nu_lo, substream(44, "cloud-extra", i))
-            counts[i] = superpose(a, b).n_points
+            counts[i] = a.n_points + b.n_points
         mean = nu * box.volume
         hi = int(stats.poisson.ppf(0.9999, mean)) + 1
         observed = np.bincount(np.minimum(counts, hi), minlength=hi + 1)

@@ -8,7 +8,7 @@ import pytest
 import poissonpolymer.estimators as estimators
 from oracles import count_in_tube
 from poissonpolymer.analytics import _log_tilt, _tilt, annealed_rate
-from poissonpolymer.environment import SpaceTimeBox, sample_poisson
+from poissonpolymer.environment import PointCloud, SpaceTimeBox, batch_tube_counts, sample_poisson
 from poissonpolymer.errors import InvalidParameterError
 from poissonpolymer.estimators import (
     ExperimentConfig,
@@ -113,7 +113,7 @@ class TestAnnealedFreeEnergy:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_counts_match_tube_counts_of_sorted_clouds(self, d):
-        # the estimator counts |x| <= r_d on the unsorted draws; the same
+        # the estimator counts |x| <= r_d on the raw block draws; the same
         # substreams through PointCloud and the tube count of the zero path
         # must give the same counts, hence the same estimate bit for bit
         c = cfg(d=d, beta=0.5, nu=1.5, t=2.0, n_steps=16, n_envs=1000, seed=8)
@@ -215,9 +215,33 @@ class TestDpDnu:
         tol = 3.0 * combined_se(field_form, coupled) + 0.05 * annealed_rate(c.beta)
         assert abs(field_form.value - coupled.value) <= tol
 
-    def test_eps_validation(self):
-        with pytest.raises(InvalidParameterError):
-            dp_dnu(cfg(), eps=2.0)
+    def test_zero_intensity_refused_naming_nu(self):
+        with pytest.raises(InvalidParameterError, match="'nu'"):
+            dp_dnu(cfg(nu=0.0))
+
+
+class TestCoupledEnsemble:
+    @pytest.mark.parametrize("d,extra_nu", [(1, 0.7), (2, 0.7), (1, 0.0)],
+                             ids=["d1", "d2", "empty-extra"])
+    def test_hamiltonians_are_counts_in_the_union(self, d, extra_nu):
+        # the coupled ensemble adds the increment cloud's tube counts to the
+        # lower cloud's; they must equal the counts in one cloud holding both
+        c = cfg(d=d, nu=1.5, n_steps=16, n_paths=30, n_envs=3, seed=77)
+        (lows, highs), _ = estimators._over_environments(
+            c, lambda lo, hi: (lo.hamiltonians, hi.hamiltonians), nus=(0.8,),
+            extra_nu=extra_nu)
+        for i in range(c.n_envs):
+            positions = sample_paths(c.grid, d, c.n_paths, substream(c.seed, "paths", i))
+            lo, hi = bounding_box_for(positions, WINDOW_MARGIN)
+            box = SpaceTimeBox(t_max=c.t, lo=lo, hi=hi)
+            low = sample_poisson(box, 0.8, substream(c.seed, "cloud", i))
+            extra = sample_poisson(box, extra_nu, substream(c.seed, "cloud-extra", i))
+            both = PointCloud(times=np.concatenate([low.times, extra.times]),
+                              coords=np.concatenate([low.coords, extra.coords]), box=box)
+            assert (extra.n_points > 0) == (extra_nu > 0)
+            assert np.array_equal(lows[i], batch_tube_counts(low, positions, c.t, c.n_steps))
+            assert np.array_equal(highs[i], batch_tube_counts(both, positions, c.t, c.n_steps))
+        assert (highs > lows).any() == (extra_nu > 0)
 
 
 class TestDerivativeIntegrands:
