@@ -45,6 +45,7 @@ from .polymer import (
     bounding_box_for,
     build_ensemble,
     field_report,
+    path_extent,
     sample_paths,
 )
 from .streams import substream, substreams
@@ -91,9 +92,10 @@ class ExperimentConfig:
     """Inputs of one Monte Carlo cell.
 
     ``n_paths`` paths per environment, ``n_envs`` independent environments;
-    ``bin_width`` defaults to r_d / 4.  Desk-scale defaults target d = 1,
-    t <= 8 with n_steps = 64 t.  ``|beta|`` is at most ``BETA_LIMIT``.  An
-    invalid value raises ``InvalidParameterError`` naming its key.
+    ``bin_width`` defaults to r_d / 4 and is at most 2 r_d / sqrt(d).
+    Desk-scale defaults target d = 1, t <= 8 with n_steps = 64 t.  ``|beta|``
+    is at most ``BETA_LIMIT``.  An invalid value raises
+    ``InvalidParameterError`` naming its key.
     """
 
     d: int
@@ -126,7 +128,9 @@ class ExperimentConfig:
         require("n_steps", self.n_steps >= 1)
         require("paths_per_env", self.n_paths >= 1)
         require("n_envs", self.n_envs >= 1)
-        require("bin_width", self.bin_width > 0)
+        # in wider bins a ball of radius r_d can miss every bin center
+        require("bin_width",
+                0 < self.bin_width <= 2 * unit_ball_radius(self.d) / math.sqrt(self.d))
         require("delta", 0.0 < self.delta <= 0.5)
 
     @property
@@ -146,15 +150,17 @@ def _over_environments(cfg: ExperimentConfig, reduce, nus=None, extra_nu=None,
                        densities=None):
     """The environment loop of every path-batch experiment.
 
-    Replicate i samples its path batch once, sizes the window from it and
-    weights it in one cloud per intensity in ``nus`` (default ``cfg.nu``),
-    each drawn from the ("cloud", i) substream.  With ``extra_nu`` one more
-    ensemble adds to the last one's Hamiltonians the tube counts in an
-    independent ``extra_nu`` cloud from ("cloud-extra", i): the counts in the
-    union of the two clouds, the coupling behind intensity differences.  With
-    ``densities`` (a tuple, possibly empty) the report of the re-asserted grid
-    inequalities of the first ensemble's field, which holds the overlaps and
-    delta sets, and the field integral of each density follow the ensembles.
+    Replicate i samples its path batch once, takes its extent once (for the
+    window and for every ensemble's coverage check), sizes the window from
+    it and weights it in one cloud per intensity in ``nus`` (default
+    ``cfg.nu``), each drawn from the ("cloud", i) substream.  With
+    ``extra_nu`` one more ensemble adds to the last one's Hamiltonians the
+    tube counts in an independent ``extra_nu`` cloud from ("cloud-extra", i):
+    the counts in the union of the two clouds, the coupling behind intensity
+    differences.  With ``densities`` (a tuple, possibly empty) the report of
+    the re-asserted grid inequalities of the first ensemble's field, which
+    holds the overlaps and delta sets, and the field integral of each
+    density follow the ensembles.
     ``reduce(*ensembles)`` returns a tuple of floats; the result is one array
     per tuple slot in replicate order, plus the diagnostics ``ess_min``,
     ``ess_median`` and ``ess_degenerate`` of the first ensemble, the mean
@@ -169,11 +175,13 @@ def _over_environments(cfg: ExperimentConfig, reduce, nus=None, extra_nu=None,
     for i in range(cfg.n_envs):
         positions = sample_paths(grid, cfg.d, cfg.n_paths,
                                  substream(cfg.seed, "paths", i))
-        lo, hi = bounding_box_for(positions, WINDOW_MARGIN)
+        extent = path_extent(positions)
+        lo, hi = bounding_box_for(positions, WINDOW_MARGIN, extent)
         box = SpaceTimeBox(t_max=cfg.t, lo=lo, hi=hi)
         clouds = [sample_poisson(box, nu, substream(cfg.seed, "cloud", i))
                   for nu in (nus or (cfg.nu,))]
-        ensembles = [build_ensemble(positions, grid, cloud, cfg.beta) for cloud in clouds]
+        ensembles = [build_ensemble(positions, grid, cloud, cfg.beta, extent)
+                     for cloud in clouds]
         if extra_nu is not None:
             extra = sample_poisson(box, extra_nu, substream(cfg.seed, "cloud-extra", i))
             ensembles.append(GibbsEnsemble(

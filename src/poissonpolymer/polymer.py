@@ -14,7 +14,8 @@ the continuum is grid-max vs continuum-sup and cell sums vs integrals.
 That is what makes the grid two-to-one inequalities below exact (slack
 bounded by roundoff), not merely asymptotic.  On the last axis a stencil
 row's inside bins are one run (the distance to the centers falls, then
-rises), so only the ends of the run are tested.
+rises).  Each end of the run is estimated from the chord half-width and
+pushed half a bin outward, so one ball test per end finds it exactly.
 
 The field is reduced slab block by slab block and never held whole.  The
 kernel fills a buffer of min(n_steps, max(2^16 // B, ceil(c / M) + 1))
@@ -48,6 +49,7 @@ __all__ = [
     "GibbsEnsemble",
     "TwoToOneReport",
     "sample_paths",
+    "path_extent",
     "bounding_box_for",
     "build_ensemble",
     "field_report",
@@ -100,12 +102,20 @@ def sample_paths(grid: TimeGrid, d: int, n_paths: int,
     return positions
 
 
-def bounding_box_for(positions: np.ndarray, margin: float = WINDOW_MARGIN) -> tuple:
-    """Spatial window lo/hi covering a path stack inflated by r_d + margin."""
+def path_extent(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis minima and maxima of a path stack."""
+    return positions.min(axis=(0, 1)), positions.max(axis=(0, 1))
+
+
+def bounding_box_for(positions: np.ndarray, margin: float = WINDOW_MARGIN,
+                     extent: tuple | None = None) -> tuple:
+    """Spatial window lo/hi covering a path stack inflated by r_d + margin.
+
+    ``extent`` is the stack's ``path_extent``, when the caller has taken it.
+    """
     r = unit_ball_radius(positions.shape[2])
-    lo = positions.min(axis=(0, 1)) - (r + margin)
-    hi = positions.max(axis=(0, 1)) + (r + margin)
-    return tuple(lo), tuple(hi)
+    pmin, pmax = extent or path_extent(positions)
+    return tuple(pmin - (r + margin)), tuple(pmax + (r + margin))
 
 
 class GibbsEnsemble:
@@ -166,17 +176,17 @@ class GibbsEnsemble:
 
 
 def build_ensemble(positions: np.ndarray, grid: TimeGrid, cloud: PointCloud,
-                   beta: float) -> GibbsEnsemble:
+                   beta: float, extent: tuple | None = None) -> GibbsEnsemble:
     """Weight a path stack on ``grid`` by its tube counts in the given cloud.
 
     Fails loudly if the cloud window does not cover every tube: points
     outside the window cannot be collected, so a too-small window would
-    silently bias the Hamiltonians.
+    silently bias the Hamiltonians.  ``extent`` is the stack's
+    ``path_extent``, when the caller has taken it.
     """
     r = unit_ball_radius(positions.shape[2])
     lo, hi = np.asarray(cloud.box.lo), np.asarray(cloud.box.hi)
-    pmin = positions.min(axis=(0, 1))
-    pmax = positions.max(axis=(0, 1))
+    pmin, pmax = extent or path_extent(positions)
     if np.any(pmin - r < lo) or np.any(pmax + r > hi) or cloud.box.t_max < grid.t:
         raise WindowCoverageError(
             "cloud window does not cover the path tubes: need "
@@ -193,11 +203,15 @@ def _field_blocks(ensemble: GibbsEnsemble, h: float):
     radius r_d around the slab position x can only contain centers of bins
     within ceil(r_d / h) of the bin holding x; one more bin on each side
     absorbs the rounding of that bin index.  The outer axes test every bin of
-    that stencil.  On the last axis a row's bins share its outer sum ``rows``
-    and the centers c_j are monotone in j, so the bins passing
-    ``rows + (x - c_j)**2 <= r_d**2`` form one run.  The chord half-width
-    sqrt(r_d**2 - rows) puts each end within one bin of the true one, so that
-    same test on the end and its outer neighbour finds the exact end.
+    that stencil, axis by axis, so d = 1 has no outer work.  On the last axis
+    a row's bins share its outer sum ``rows`` and the centers c_j are
+    monotone in j, so the bins passing ``rows + (x - c_j)**2 <= r_d**2`` form
+    one run.  The chord half-width sqrt(r_d**2 - rows) puts each end within
+    rounding of the true one; pushed half a bin outward, the estimate is the
+    exact end or its inner neighbour, and that same test on the estimate
+    alone decides which.  A chunk's (slab, path) pairs are paths p0..p1 - 1
+    of one or more consecutive slabs k, so their positions and weights are
+    copied as the segments ``positions[p0:p1, k]`` and ``w[p0:p1]``.
     Entries run slab, path, row, bin and are accumulated by one ``bincount``
     per chunk, so every bin adds its paths in increasing path index: bins
     covered by the same paths hold bit-identical values.
@@ -231,36 +245,42 @@ def _field_blocks(ensemble: GibbsEnsemble, h: float):
     last = np.append(lo[-1] + (np.arange(shape[-1]) + 0.5) * h, np.inf)
     # (slab, path) pairs in slab-major order, a chunk of pairs at a time
     for start in range(0, n * n_paths, chunk):
-        pair = np.arange(start, min(start + chunk, n * n_paths))
-        slab, path = np.divmod(pair, n_paths)
-        x = ensemble.positions[path, slab, :]
-        k0, k1 = slab[0], slab[-1] + 1
+        stop = min(start + chunk, n * n_paths)
+        k0, k1 = start // n_paths, (stop - 1) // n_paths + 1
         if k1 > base + span:
             yield values[:k0 - base]
             values[:base + span - k0] = values[k0 - base:]
             values[base + span - k0:] = 0.0
             base = k0
-        # outer axes: candidate bin indices and squared distances to their centers
-        idx = np.floor((x[:, :-1] - lo[:-1]) / h).astype(np.int64)[:, :, np.newaxis] + offsets
-        sq = (x[:, :-1, np.newaxis] - (lo[:-1, np.newaxis] + (idx + 0.5) * h)) ** 2
-        sq[(idx < 0) | (idx >= shape[:-1, np.newaxis])] = np.inf
-        rows, flat = np.zeros(len(pair)), (slab - k0) * n_bins
+        # the chunk's segments: paths p0..p1 - 1 of slab k
+        segments = [(k, max(start - k * n_paths, 0), min(stop - k * n_paths, n_paths))
+                    for k in range(k0, k1)]
+        x = np.concatenate([ensemble.positions[p0:p1, k] for k, p0, p1 in segments])
+        weights = np.concatenate([w[p0:p1] for _, p0, p1 in segments])
+        flat = np.repeat(np.arange(k1 - k0) * n_bins, [p1 - p0 for _, p0, p1 in segments])
+        # outer axes: each row's sum of squared distances to its centers (0 in d = 1)
+        rows = np.zeros(())
         for i in range(d - 1):
-            axis_shape = (len(pair),) + (1,) * i + (len(offsets),)
-            rows = rows[..., np.newaxis] + sq[:, i].reshape(axis_shape)
-            flat = flat[..., np.newaxis] + (idx[:, i] * strides[i]).reshape(axis_shape)
-        # last axis: each row's run of inside bins, its estimated ends made exact
+            idx = np.floor((x[:, i] - lo[i]) / h).astype(np.int64)[:, np.newaxis] + offsets
+            sq = (x[:, i, np.newaxis] - (lo[i] + (idx + 0.5) * h)) ** 2
+            sq[(idx < 0) | (idx >= shape[i])] = np.inf
+            axis_shape = (len(x),) + (1,) * i + (len(offsets),)
+            rows = rows[..., np.newaxis] + sq.reshape(axis_shape)
+            flat = flat[..., np.newaxis] + (idx * strides[i]).reshape(axis_shape)
+        # last axis: each row's run of inside bins, from ends pushed half a bin
+        # outward, so that each exact end is the estimate or its inner neighbour
         xl = x[:, -1].reshape((-1,) + (1,) * (d - 1))
         half = np.sqrt(np.maximum(r * r - rows, 0.0))
-        jl = np.clip(np.ceil((xl - half - lo[-1]) / h - 0.5), 0, shape[-1]).astype(np.int64)
-        jr = np.clip(np.floor((xl + half - lo[-1]) / h - 0.5), -1, shape[-1] - 1).astype(np.int64)
-        inside = rows + (xl - last[np.stack([jl - 1, jl, jr, jr + 1])]) ** 2 <= r * r
-        jl = np.where(inside[0], jl - 1, np.where(inside[1], jl, jl + 1))
-        jr = np.where(inside[3], jr + 1, np.where(inside[2], jr, jr - 1))
+        jl = np.clip(np.ceil((xl - half - lo[-1]) / h - 1.0), 0, shape[-1]).astype(np.int64)
+        jr = np.clip(np.floor((xl + half - lo[-1]) / h), -1, shape[-1] - 1).astype(np.int64)
+        jl += rows + (xl - last[jl]) ** 2 > r * r
+        jr -= rows + (xl - last[jr]) ** 2 > r * r
         count = np.maximum(jr - jl + 1, 0).ravel()
-        skip = np.cumsum(count) - count  # entries before each row
-        bins = np.arange(count.sum()) + np.repeat((flat + jl).ravel() - skip, count)
-        weights = np.repeat(w[path], count.reshape(len(pair), -1).sum(axis=1))
+        skip = np.cumsum(count)
+        skip -= count  # entries before each row
+        bins = np.repeat((flat + jl).ravel() - skip, count)
+        bins += np.arange(len(bins))
+        weights = np.repeat(weights, count.reshape(len(x), -1).sum(axis=1))
         values[k0 - base:k1 - base] += np.bincount(
             bins, weights=weights, minlength=(k1 - k0) * n_bins).reshape(k1 - k0, n_bins)
     yield values[:n - base]

@@ -133,9 +133,11 @@ def occupancy_field_candidates(ensemble, h: float,
     Each (slab, path) pair is tested against all ``(2R + 1)^d`` bins around
     the bin holding it, ``R = ceil(r_d / h) + 1``, and the kept entries, in
     slab, path, stencil-offset order, feed one ``bincount`` per chunk of
-    ``chunk_elements // (2R + 1)^d`` pairs.  ``polymer._field_blocks`` tests only
-    the ends of each row's run of inside bins but keeps these entries, their
-    order and the chunks, so it must equal this bit for bit.
+    ``chunk_elements // (2R + 1)^d`` pairs.  ``polymer._field_blocks`` copies
+    each chunk's positions slab segment by slab segment and makes one ball
+    test per end of each row's run of inside bins, at its estimate pushed
+    half a bin outward, but keeps these entries, their order and the chunks,
+    so it must equal this bit for bit.
     """
     d, n, n_paths = ensemble.d, ensemble.grid.n_steps, ensemble.n_paths
     lo = np.asarray(ensemble.box.lo)

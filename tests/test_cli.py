@@ -184,10 +184,11 @@ class TestSimulate:
         ("d", "0", "quenched"), ("d", "-1", "localization"),
         ("beta", "800", "dp-dbeta"), ("beta", "800", "annealed"),
         ("beta", "-351", "dp-dnu"), ("beta", "1e308", "quenched"),
-        ("beta", "1e308", "localization"), ("nu", "0", "dp-dnu")],
+        ("beta", "1e308", "localization"), ("nu", "0", "dp-dnu"),
+        ("bin_width", "1e300", "localization")],
         ids=["d-0", "d-negative", "beta-800-dp-dbeta", "beta-800-annealed",
              "beta-minus-351", "beta-1e308-quenched", "beta-1e308-localization",
-             "nu-0-dp-dnu"])
+             "nu-0-dp-dnu", "bin_width-1e300-localization"])
     def test_out_of_range_value_names_key(self, tmp_path, capsys, key, value, mode):
         kept = [line for line in MINIMAL.splitlines()
                 if not line.startswith((f"{key} ", "mode "))]

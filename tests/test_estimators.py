@@ -47,6 +47,15 @@ class TestConfig:
         with pytest.raises(InvalidParameterError, match="delta"):
             ExperimentConfig(d=1, beta=0.0, nu=1.0, t=1.0, delta=0.7)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bin_width_at_most_cell_diagonal_bound(self, d):
+        # a cell whose half-diagonal h sqrt(d) / 2 exceeds r_d can hold a
+        # ball that contains no bin center
+        widest = 2 * unit_ball_radius(d) / math.sqrt(d)
+        assert ExperimentConfig(d=d, beta=0.0, nu=1.0, t=1.0, bin_width=widest).bin_width == widest
+        with pytest.raises(InvalidParameterError, match="bin_width"):
+            ExperimentConfig(d=d, beta=0.0, nu=1.0, t=1.0, bin_width=np.nextafter(widest, 1e300))
+
 
 class TestQuenchedFreeEnergy:
     def test_beta_zero_exact(self):

@@ -80,6 +80,37 @@ def edge_ensemble(d, h, rng, n_steps=6, n_paths=9):
                          rng.integers(0, 4, n_paths), 0.7, box)
 
 
+def run_end_ensemble(d, h, rng, n_steps=6, n_paths=10):
+    """Paths on bin centers well inside the window, except that the first
+    of d - 1 outer coordinates may sit r_d from its center and the last sits
+    a chord half-width sqrt(r_d**2 - rows) from its center, possibly moved by
+    one ulp: rows tangent to the ball (rows == r_d**2) and run ends on a
+    half-integer bin index, where rounding decides the end.  Returns the
+    ensemble and its number of tangent rows."""
+    r = unit_ball_radius(d)
+    lo = rng.uniform(-3.0, 3.0, d)
+    shape = np.ceil(rng.uniform(4.0 * r, 8.0 * r, d) / h).astype(int)
+    room = math.ceil(r / h) + 1
+    c = lo + (rng.integers(room, shape - room, size=(n_paths, n_steps + 1, d)) + 0.5) * h
+    x = c.copy()
+    rows = np.zeros(x.shape[:2])
+    if d > 1:
+        # of c + r_d and its neighbours within two ulps, the first whose
+        # squared distance to c rounds to r_d**2
+        x0 = c[..., 0] + rng.choice([-1.0, 0.0, 1.0], size=rows.shape) * r
+        up, down = np.nextafter(x0, np.inf), np.nextafter(x0, -np.inf)
+        near = [x0, up, down, np.nextafter(up, np.inf), np.nextafter(down, -np.inf)]
+        x[..., 0] = np.select([(v - c[..., 0]) ** 2 == r * r for v in near], near, x0)
+        rows = (x[..., 0] - c[..., 0]) ** 2
+    end = c[..., -1] + rng.choice([-1.0, 1.0], size=rows.shape) * np.sqrt(
+        np.maximum(r * r - rows, 0.0))
+    ulp = rng.integers(-1, 2, size=end.shape)
+    x[..., -1] = np.where(ulp == 0, end, np.nextafter(end, np.where(ulp > 0, np.inf, -np.inf)))
+    box = SpaceTimeBox(t_max=1.0, lo=tuple(lo), hi=tuple(lo + shape * h))
+    ens = GibbsEnsemble(x, TimeGrid(1.0, n_steps), rng.integers(0, 4, n_paths), 0.7, box)
+    return ens, int(np.sum(rows == r * r))
+
+
 def assert_matches_dense(ens, h):
     values = occupancy_field(ens, h).values
     dense = occupancy_field_dense(ens, h)
@@ -231,14 +262,16 @@ class TestOccupancyField:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_equals_candidate_kernel_bit_for_bit(self, d, monkeypatch):
-        # finding each row's run of inside bins must keep the entries and
-        # their order of testing every candidate bin; h runs past r_d and
-        # the chunk bound down to one pair per chunk
+        # finding each row's run of inside bins from one-sided end estimates,
+        # on the chunk's per-slab segments, must keep the entries and their
+        # order of testing every candidate bin; h runs past r_d and the
+        # chunk bound down to one pair per chunk
+        r = unit_ball_radius(d)
         rng = np.random.default_rng(70 + d)
         chunks = (polymer._CHUNK_ELEMENTS, 1, 7 * 11 ** d, 50)
         filled = 0
         for case in range(60):
-            h = (0.1, 0.25, 0.3, 0.5, 1.0, 1.3, 2.5)[case % 7] * unit_ball_radius(d)
+            h = (0.1, 0.25, 0.3, 0.5, 1.0, 1.3, 2.5)[case % 7] * r
             chunk = chunks[case % 4]
             ens = edge_ensemble(d, h, rng)
             monkeypatch.setattr(polymer, "_CHUNK_ELEMENTS", chunk)
@@ -246,6 +279,19 @@ class TestOccupancyField:
             filled += values.any()
             assert np.array_equal(values, occupancy_field_candidates(ens, h, chunk)), case
         assert filled >= 50
+        # run ends on a half-integer bin index and rows tangent to the ball,
+        # in whole-field chunks and in chunks of three pairs, which split
+        # each slab of 10 paths over four chunks
+        tangent = 0
+        for case in range(30):
+            h = (0.125, 0.25, 0.5)[case % 3] * r
+            chunk = (polymer._CHUNK_ELEMENTS, 3 * (2 * math.ceil(r / h) + 3) ** d)[case % 2]
+            ens, rows = run_end_ensemble(d, h, rng)
+            tangent += rows
+            monkeypatch.setattr(polymer, "_CHUNK_ELEMENTS", chunk)
+            values = occupancy_field(ens, h).values
+            assert np.array_equal(values, occupancy_field_candidates(ens, h, chunk)), case
+        assert tangent >= (0 if d == 1 else 200)
 
     @pytest.mark.parametrize("d, seed, n_paths", [(1, 3, 500), (1, 4, 60), (2, 1, 500)])
     def test_same_paths_give_bit_identical_values(self, d, seed, n_paths):
