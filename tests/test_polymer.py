@@ -285,13 +285,13 @@ class TestOccupancyField:
         tangent = 0
         for case in range(30):
             h = (0.125, 0.25, 0.5)[case % 3] * r
-            chunk = (polymer._CHUNK_ELEMENTS, 3 * (2 * math.ceil(r / h) + 3) ** d)[case % 2]
+            chunk = (chunks[0], 3 * (2 * math.ceil(r / h) + 3) ** d)[case % 2]
             ens, rows = run_end_ensemble(d, h, rng)
             tangent += rows
             monkeypatch.setattr(polymer, "_CHUNK_ELEMENTS", chunk)
             values = occupancy_field(ens, h).values
             assert np.array_equal(values, occupancy_field_candidates(ens, h, chunk)), case
-        assert tangent >= (0 if d == 1 else 200)
+        assert d == 1 or tangent >= 200
 
     @pytest.mark.parametrize("d, seed, n_paths", [(1, 3, 500), (1, 4, 60), (2, 1, 500)])
     def test_same_paths_give_bit_identical_values(self, d, seed, n_paths):
