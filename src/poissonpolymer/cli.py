@@ -22,6 +22,7 @@ invariant violation (reported with the offending seed and replicate).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -347,7 +348,14 @@ def _cmd_analytic(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``polymer`` parser, built on the first call and shared after it.
+
+    ``parse_args`` keeps no state between calls, so a process that runs
+    ``main`` many times builds the tree once and makes none of its cyclic
+    garbage per call.  Callers must not change the shared parser.
+    """
     parser = argparse.ArgumentParser(
         prog="polymer",
         description="Brownian polymer in a Poissonian medium: closed forms and"
@@ -416,8 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "analytic":
             return _cmd_analytic(args)

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -490,6 +491,38 @@ class TestAnalytic:
         with pytest.raises(SystemExit) as exc:
             main(["analytic", "bessel"])  # missing --d
         assert exc.value.code == 2
+
+
+class TestRepeatedCalls:
+    def test_simulate_leaves_no_parser_garbage(self, tmp_path):
+        # the parser is built once per process: rebuilding it on each call
+        # left about 540 objects for the cyclic GC, against the ~66 that the
+        # two indented json.dumps calls leave
+        config = write_config(tmp_path, MINIMAL)
+        argv = ["simulate", str(config), "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            garbage = gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+        assert garbage < 200
+
+    def test_usage_error_leaves_the_next_parse_unchanged(self, capsys):
+        # --beta parses before --grid is refused; the next call must still
+        # see the defaults
+        assert main(["analytic", "lambda"]) == 0
+        default = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["analytic", "lambda", "--beta", "2", "--grid", "0,1,0"])
+        assert exc.value.code == 2
+        assert "argument --grid:" in capsys.readouterr().err
+        assert main(["analytic", "lambda"]) == 0
+        assert capsys.readouterr().out == default == "beta,lambda\n0,0\n"
 
 
 def test_cli_import_skips_scipy_optimize():

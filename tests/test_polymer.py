@@ -31,6 +31,7 @@ from poissonpolymer.polymer import (
     bounding_box_for,
     build_ensemble,
     field_report,
+    path_extent,
     sample_paths,
 )
 from poissonpolymer.streams import substream
@@ -111,6 +112,24 @@ def run_end_ensemble(d, h, rng, n_steps=6, n_paths=10):
     return ens, int(np.sum(rows == r * r))
 
 
+def right_end_ensemble(h, rng, n_steps=6, n_paths=10):
+    """d = 1 paths on the first of x0 = c - r_d and its neighbours within two
+    ulps whose squared distance to the bin center c rounds to at most
+    r_d**2: c is the right end of the path's run of inside bins, and
+    rounding decides it."""
+    r = unit_ball_radius(1)
+    lo = rng.uniform(-3.0, 3.0)
+    room = math.ceil(r / h) + 1
+    n_bins = 2 * room + math.ceil(rng.uniform(2.0 * r, 6.0 * r) / h)
+    c = lo + (rng.integers(room, n_bins - room, size=(n_paths, n_steps + 1, 1)) + 0.5) * h
+    x0 = c - r
+    down, up = np.nextafter(x0, -np.inf), np.nextafter(x0, np.inf)
+    near = [np.nextafter(down, -np.inf), down, x0, up, np.nextafter(up, np.inf)]
+    x = np.select([(v - c) ** 2 <= r * r for v in near], near, x0)
+    box = SpaceTimeBox(t_max=1.0, lo=(lo,), hi=(lo + n_bins * h,))
+    return GibbsEnsemble(x, TimeGrid(1.0, n_steps), rng.integers(0, 4, n_paths), 0.7, box)
+
+
 def assert_matches_dense(ens, h):
     values = occupancy_field(ens, h).values
     dense = occupancy_field_dense(ens, h)
@@ -158,6 +177,13 @@ class TestSamplePaths:
         coarse = sample_paths(TimeGrid(t, 8), 1, n_rep, substream(2, "paths", 0))
         fine = sample_paths(TimeGrid(t, 16), 1, n_rep, substream(2, "paths", 1))
         assert stats.ks_2samp(coarse[:, -1, 0], fine[:, -1, 0]).pvalue > 0.01
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_path_extent_equals_whole_stack_reduction(self, d):
+        paths = sample_paths(TimeGrid(1.0, 16), d, 50, substream(3, "paths", d))
+        pmin, pmax = path_extent(paths)
+        assert np.array_equal(pmin, paths.min(axis=(0, 1)))
+        assert np.array_equal(pmax, paths.max(axis=(0, 1)))
 
 
 class TestGibbsEnsemble:
@@ -292,6 +318,15 @@ class TestOccupancyField:
             values = occupancy_field(ens, h).values
             assert np.array_equal(values, occupancy_field_candidates(ens, h, chunk)), case
         assert d == 1 or tangent >= 200
+        # d = 1 has no tangent rows: its right run ends sit on the rounding
+        # boundary instead
+        for case in range(30 if d == 1 else 0):
+            h = (0.3, 0.7, 1.3, 0.45, 0.125)[case % 5] * r
+            chunk = (chunks[0], 3 * (2 * math.ceil(r / h) + 3))[case % 2]
+            ens = right_end_ensemble(h, rng)
+            monkeypatch.setattr(polymer, "_CHUNK_ELEMENTS", chunk)
+            values = occupancy_field(ens, h).values
+            assert np.array_equal(values, occupancy_field_candidates(ens, h, chunk)), case
 
     @pytest.mark.parametrize("d, seed, n_paths", [(1, 3, 500), (1, 4, 60), (2, 1, 500)])
     def test_same_paths_give_bit_identical_values(self, d, seed, n_paths):
