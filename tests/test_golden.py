@@ -1,8 +1,10 @@
-"""Byte-for-byte regression of ``polymer simulate`` against checked-in outputs.
+"""Byte-for-byte regression of the CLI against checked-in outputs.
 
-Each ``golden/<name>.cfg`` runs through the CLI entry point and its
-``results.csv`` must equal ``golden/<name>.csv`` exactly.  After a change
-that is meant to move the numbers, regenerate the expected files with
+Each ``golden/<name>.cfg`` runs through ``polymer simulate`` and its
+``results.csv`` must equal ``golden/<name>.csv`` exactly.  The stdout of the
+``ANALYTIC`` invocations of ``polymer analytic``, each after a line naming
+it, must equal ``golden/analytic.txt``.  After a change that is meant to
+move the numbers, regenerate the expected files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -10,6 +12,7 @@ which prints, for each file it overwrites, the largest relative change of
 ``value`` and ``std_error`` against the old file.
 """
 
+import contextlib
 import csv
 import io
 import tempfile
@@ -23,6 +26,22 @@ from poissonpolymer import cli
 GOLDEN = Path(__file__).parent / "golden"
 CASES = ("quenched-d1", "annealed-d1", "dp-dbeta-d1", "dp-dnu-d1",
          "localization-d1", "localization-d2")
+# every closed form, both tilt forms of psi-phi, every sandwich case and phase
+ANALYTIC = (
+    "lambda --grid=-2,2,9", "lambda --beta 0.5",
+    "alpha --grid=-2,2,9", "alpha --beta 0.5",
+    "h-alpha --alpha 1.5 --u-grid=-0.5,2,6",
+    "psi-phi --beta 0.5 --u-grid=0,1,5", "psi-phi --beta -1 --u-grid=0,1,5",
+    "bc-bounds --branch plus --beta0 0.6931 --nu0 1 --alpha 1 --nu 100",
+    "bc-bounds --branch plus --beta0 1 --nu0 1 --alpha 1.5 --nu 0.1",
+    "bc-bounds --branch minus --beta0 -1 --nu0 1 --alpha 3 --nu 10",
+    "bc-bounds --branch minus --beta0 -0.5 --nu0 1 --alpha 3 --nu 0.7",
+    "classify --branch plus --beta0 0.8 --nu0 1 --alpha 1 --beta 0.8 --nu 1",
+    "classify --branch plus --beta0 0.8 --nu0 1 --alpha 1 --beta 1 --nu 2",
+    "classify --branch plus --beta0 0.8 --nu0 1 --alpha 1 --beta 1 --nu 0.6",
+    "bessel --d 1", "bessel --d 2", "bessel --d 3", "bessel --d 5",
+    "l2 --beta 0 --nu 5 --a-l2 1.6", "l2 --beta 1 --nu 5 --a-l2 1.6",
+)
 
 
 def simulate(name: str, out_dir) -> bytes:
@@ -34,6 +53,19 @@ def simulate(name: str, out_dir) -> bytes:
 @pytest.mark.parametrize("name", CASES)
 def test_results_csv_byte_identical(name, tmp_path):
     assert simulate(name, tmp_path) == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+def analytic_transcript() -> bytes:
+    out = io.StringIO()
+    for args in ANALYTIC:
+        out.write(f"$ polymer analytic {args}\n")
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["analytic", *args.split()]) == 0
+    return out.getvalue().encode()
+
+
+def test_analytic_stdout_byte_identical():
+    assert analytic_transcript() == (GOLDEN / "analytic.txt").read_bytes()
 
 
 def largest_relative_change(old: bytes, new: bytes, column: str) -> float:
@@ -59,3 +91,5 @@ if __name__ == "__main__":
             f"{column} {largest_relative_change(old, new, column):.2g}"
             for column in ("value", "std_error"))
         print(f"wrote {path}{change}")
+    (GOLDEN / "analytic.txt").write_bytes(analytic_transcript())
+    print(f"wrote {GOLDEN / 'analytic.txt'}")
