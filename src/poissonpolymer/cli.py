@@ -34,7 +34,6 @@ from pathlib import Path
 
 from . import __version__
 from .analytics import (
-    BetaCriticalBounds,
     CriticalPoint,
     annealed_gap_integrand,
     annealed_rate,
@@ -74,6 +73,11 @@ STREAM_RULE = ("k1=splitmix64(seed); k2=splitmix64(k1 xor fnv1a64(tag)); "
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
+
+
+def _row(values) -> str:
+    """One CSV line: strings as they are, numbers through ``_fmt``."""
+    return ",".join(v if isinstance(v, str) else _fmt(v) for v in values)
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -197,23 +201,13 @@ def _write_outputs(out_dir: Path, rows: list[dict], config_text: str,
     out_dir.mkdir(parents=True, exist_ok=True)
     config_sha = hashlib.sha256(config_text.encode()).hexdigest()
 
-    csv_lines = [CSV_HEADER]
-    for r in rows:
-        csv_lines.append(",".join([
-            r["mode"], str(r["d"]), _fmt(r["beta"]), _fmt(r["nu"]), _fmt(r["t"]),
-            str(r["n_steps"]), str(r["M"]), str(r["K"]), _fmt(r["h"]),
-            _fmt(r["value"]), _fmt(r["std_error"]), _fmt(r["ess_min"]),
-            r["observable"],
-        ]))
+    # d, n_steps, M and K are integers far below 2^53, which _fmt prints exactly
+    csv_lines = [CSV_HEADER, *(_row(r[key] for key in CSV_HEADER.split(",")) for r in rows)]
     (out_dir / "results.csv").write_text("\n".join(csv_lines) + "\n")
 
-    json_rows = []
-    for r in rows:
-        obj = dict(r)
-        obj["ess_min"] = _none_if_nan(r["ess_min"])
-        obj["std_error"] = _none_if_nan(r["std_error"])
-        obj["config_sha256"] = config_sha
-        json_rows.append(obj)
+    json_rows = [dict(r, ess_min=_none_if_nan(r["ess_min"]),
+                      std_error=_none_if_nan(r["std_error"]), config_sha256=config_sha)
+                 for r in rows]
     (out_dir / "results.json").write_text(
         json.dumps(json_rows, indent=2, sort_keys=True) + "\n")
 
@@ -298,53 +292,46 @@ def _linspace(parse):
     return grid
 
 
+def _dimension(text: str) -> int:
+    """Type of ``bessel --d``: refused before its sign scan of about 50 d doubles."""
+    if not text.isdecimal() or not 1 <= int(text) <= 2 * 10 ** 4:
+        raise argparse.ArgumentTypeError(f"dimension must be an integer in [1, 2e4], got {text!r}")
+    return int(text)
+
+
 def _cmd_analytic(args) -> int:
-    out = sys.stdout
-    if args.closed_form == "lambda":
-        betas = args.grid if args.grid else [args.beta]
-        out.write("beta,lambda\n")
-        for b in betas:
-            out.write(f"{_fmt(b)},{_fmt(annealed_rate(b))}\n")
-    elif args.closed_form == "alpha":
-        betas = args.grid if args.grid else [args.beta]
-        out.write("beta,alpha\n")
-        for b in betas:
-            out.write(f"{_fmt(b)},{_fmt(critical_curve_exponent(b))}\n")
-    elif args.closed_form == "h-alpha":
-        us = args.u_grid if args.u_grid else [args.u]
-        out.write("alpha,u,h_alpha\n")
-        for u in us:
-            out.write(f"{_fmt(args.alpha)},{_fmt(u)},{_fmt(curve_kernel(args.alpha, u))}\n")
-    elif args.closed_form == "psi-phi":
-        us = args.u_grid if args.u_grid else [args.u]
-        out.write("beta,u,psi,phi\n")
-        for u in us:
-            out.write(f"{_fmt(args.beta)},{_fmt(u)},"
-                      f"{_fmt(drift_gap_integrand(args.beta, u))},"
-                      f"{_fmt(annealed_gap_integrand(args.beta, u))}\n")
-    elif args.closed_form == "bc-bounds":
+    form = args.closed_form
+    if form in ("lambda", "alpha"):
+        of_beta = annealed_rate if form == "lambda" else critical_curve_exponent
+        header = f"beta,{form}"
+        rows = [(b, of_beta(b)) for b in args.grid or [args.beta]]
+    elif form == "h-alpha":
+        header = "alpha,u,h_alpha"
+        rows = [(args.alpha, u, curve_kernel(args.alpha, u)) for u in args.u_grid or [args.u]]
+    elif form == "psi-phi":
+        header = "beta,u,psi,phi"
+        rows = [(args.beta, u, drift_gap_integrand(args.beta, u),
+                 annealed_gap_integrand(args.beta, u)) for u in args.u_grid or [args.u]]
+    elif form in ("bc-bounds", "classify"):
         crit = CriticalPoint(beta0=args.beta0, nu0=args.nu0, sign=args.branch)
-        bounds: BetaCriticalBounds = critical_beta_bounds(args.nu, crit, args.alpha)
-        out.write("branch,beta0,nu0,alpha,nu,case,lower,upper\n")
-        out.write(f"{args.branch},{_fmt(args.beta0)},{_fmt(args.nu0)},"
-                  f"{_fmt(args.alpha)},{_fmt(args.nu)},{bounds.case},"
-                  f"{_fmt(bounds.lower)},{_fmt(bounds.upper)}\n")
-    elif args.closed_form == "classify":
-        crit = CriticalPoint(beta0=args.beta0, nu0=args.nu0, sign=args.branch)
-        label = classify_phase(args.beta, args.nu, crit, args.alpha)
-        out.write("branch,beta0,nu0,alpha,beta,nu,phase\n")
-        out.write(f"{args.branch},{_fmt(args.beta0)},{_fmt(args.nu0)},"
-                  f"{_fmt(args.alpha)},{_fmt(args.beta)},{_fmt(args.nu)},"
-                  f"{label.value}\n")
-    elif args.closed_form == "bessel":
-        out.write("d,gamma,ratio,ratio_squared\n")
-        out.write(f"{args.d},{_fmt(bessel_zero(args.d))},"
-                  f"{_fmt(critical_intensity_ratio(args.d))},"
-                  f"{_fmt(critical_intensity_lower_bound(args.d))}\n")
+        point = (args.branch, args.beta0, args.nu0, args.alpha)
+        if form == "bc-bounds":
+            bounds = critical_beta_bounds(args.nu, crit, args.alpha)
+            header = "branch,beta0,nu0,alpha,nu,case,lower,upper"
+            rows = [(*point, args.nu, bounds.case, bounds.lower, bounds.upper)]
+        else:
+            header = "branch,beta0,nu0,alpha,beta,nu,phase"
+            rows = [(*point, args.beta, args.nu,
+                     classify_phase(args.beta, args.nu, crit, args.alpha).value)]
+    elif form == "bessel":
+        header = "d,gamma,ratio,ratio_squared"
+        rows = [(args.d, bessel_zero(args.d), critical_intensity_ratio(args.d),
+                 critical_intensity_lower_bound(args.d))]
     else:  # l2
-        out.write("beta,nu,a_l2,in_l2_region\n")
-        out.write(f"{_fmt(args.beta)},{_fmt(args.nu)},{_fmt(args.a_l2)},"
-                  f"{str(in_l2_region(args.beta, args.nu, args.a_l2)).lower()}\n")
+        header = "beta,nu,a_l2,in_l2_region"
+        rows = [(args.beta, args.nu, args.a_l2,
+                 str(in_l2_region(args.beta, args.nu, args.a_l2)).lower())]
+    sys.stdout.write("\n".join([header, *map(_row, rows)]) + "\n")
     return 0
 
 
@@ -365,45 +352,34 @@ def build_parser() -> argparse.ArgumentParser:
     analytic = sub.add_parser("analytic", help="evaluate a closed form")
     forms = analytic.add_subparsers(dest="closed_form", required=True)
 
-    p_lambda = forms.add_parser("lambda", help="annealed rate e^beta - 1")
-    p_lambda.add_argument("--beta", type=_coupling, default=0.0)
-    p_lambda.add_argument("--grid", type=_linspace(_coupling), default=None,
+    for name, help_text in (("lambda", "annealed rate e^beta - 1"),
+                            ("alpha", "critical-curve exponent")):
+        form = forms.add_parser(name, help=help_text)
+        form.add_argument("--beta", type=_coupling, default=0.0)
+        form.add_argument("--grid", type=_linspace(_coupling), default=None,
                           metavar="START,STOP,N")
-
-    p_alpha = forms.add_parser("alpha", help="critical-curve exponent")
-    p_alpha.add_argument("--beta", type=_coupling, default=0.0)
-    p_alpha.add_argument("--grid", type=_linspace(_coupling), default=None,
-                         metavar="START,STOP,N")
 
     p_h = forms.add_parser("h-alpha", help="curve monotonicity kernel")
     p_h.add_argument("--alpha", type=_finite_float, required=True)
-    p_h.add_argument("--u", type=_finite_float, default=0.0)
-    p_h.add_argument("--u-grid", type=_linspace(_finite_float), default=None,
-                     metavar="START,STOP,N")
-
     p_pp = forms.add_parser("psi-phi", help="derivative-gap integrands")
     p_pp.add_argument("--beta", type=_coupling, required=True)
-    p_pp.add_argument("--u", type=_finite_float, default=0.0)
-    p_pp.add_argument("--u-grid", type=_linspace(_finite_float), default=None,
-                      metavar="START,STOP,N")
+    for form in (p_h, p_pp):
+        form.add_argument("--u", type=_finite_float, default=0.0)
+        form.add_argument("--u-grid", type=_linspace(_finite_float), default=None,
+                          metavar="START,STOP,N")
 
     p_bc = forms.add_parser("bc-bounds", help="critical coupling sandwich")
-    p_bc.add_argument("--branch", choices=("plus", "minus"), required=True)
-    p_bc.add_argument("--beta0", type=_coupling, required=True)
-    p_bc.add_argument("--nu0", type=_finite_float, required=True)
-    p_bc.add_argument("--alpha", type=_finite_float, required=True)
-    p_bc.add_argument("--nu", type=_finite_float, required=True)
-
     p_cl = forms.add_parser("classify", help="phase of a (beta, nu) query")
-    p_cl.add_argument("--branch", choices=("plus", "minus"), required=True)
-    p_cl.add_argument("--beta0", type=_coupling, required=True)
-    p_cl.add_argument("--nu0", type=_finite_float, required=True)
-    p_cl.add_argument("--alpha", type=_finite_float, required=True)
+    for form in (p_bc, p_cl):
+        form.add_argument("--branch", choices=("plus", "minus"), required=True)
+        form.add_argument("--beta0", type=_coupling, required=True)
+        form.add_argument("--nu0", type=_finite_float, required=True)
+        form.add_argument("--alpha", type=_finite_float, required=True)
+        form.add_argument("--nu", type=_finite_float, required=True)
     p_cl.add_argument("--beta", type=_coupling, required=True)
-    p_cl.add_argument("--nu", type=_finite_float, required=True)
 
     p_bessel = forms.add_parser("bessel", help="critical-intensity bound table")
-    p_bessel.add_argument("--d", type=int, required=True)
+    p_bessel.add_argument("--d", type=_dimension, required=True)
 
     p_l2 = forms.add_parser("l2", help="second-moment region test")
     p_l2.add_argument("--beta", type=_coupling, required=True)
@@ -429,13 +405,10 @@ def main(argv=None) -> int:
         if args.command == "analytic":
             return _cmd_analytic(args)
         return _cmd_experiment(args, sweep=args.command == "sweep")
-    except InvariantViolationError as exc:
+    except (InvariantViolationError, ConfigError, InvalidParameterError, HypothesisError,
+            InvalidQueryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ConfigError, InvalidParameterError, HypothesisError, InvalidQueryError,
-            OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, InvariantViolationError) else 2
 
 
 if __name__ == "__main__":

@@ -91,8 +91,9 @@ def _mean_se(values, diagnostics: dict | None = None) -> EstimateWithError:
 class ExperimentConfig:
     """Inputs of one Monte Carlo cell.
 
-    ``n_paths`` paths per environment, ``n_envs`` independent environments;
-    ``bin_width`` defaults to r_d / 4 and is at most 2 r_d / sqrt(d).
+    ``n_paths`` paths per environment, ``n_envs`` independent environments
+    (at most 10^8: the annealed counts take 8 bytes each); ``bin_width``
+    defaults to r_d / 4 and is at most 2 r_d / sqrt(d).
     Desk-scale defaults target d = 1, t <= 8 with n_steps = 64 t.  ``|beta|``
     is at most ``BETA_LIMIT``.  An invalid value raises
     ``InvalidParameterError`` naming its key.
@@ -127,7 +128,7 @@ class ExperimentConfig:
         require("t", self.t > 0)
         require("n_steps", self.n_steps >= 1)
         require("paths_per_env", self.n_paths >= 1)
-        require("n_envs", self.n_envs >= 1)
+        require("n_envs", 1 <= self.n_envs <= 10 ** 8)
         # in wider bins a ball of radius r_d can miss every bin center
         require("bin_width",
                 0 < self.bin_width <= 2 * unit_ball_radius(self.d) / math.sqrt(self.d))

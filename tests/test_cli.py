@@ -186,10 +186,10 @@ class TestSimulate:
         ("beta", "800", "dp-dbeta"), ("beta", "800", "annealed"),
         ("beta", "-351", "dp-dnu"), ("beta", "1e308", "quenched"),
         ("beta", "1e308", "localization"), ("nu", "0", "dp-dnu"),
-        ("bin_width", "1e300", "localization")],
+        ("bin_width", "1e300", "localization"), ("n_envs", str(10 ** 30), "annealed")],
         ids=["d-0", "d-negative", "beta-800-dp-dbeta", "beta-800-annealed",
              "beta-minus-351", "beta-1e308-quenched", "beta-1e308-localization",
-             "nu-0-dp-dnu", "bin_width-1e300-localization"])
+             "nu-0-dp-dnu", "bin_width-1e300-localization", "n_envs-1e30-annealed"])
     def test_out_of_range_value_names_key(self, tmp_path, capsys, key, value, mode):
         kept = [line for line in MINIMAL.splitlines()
                 if not line.startswith((f"{key} ", "mode "))]
@@ -366,6 +366,20 @@ class TestSweep:
         assert "'paths_per_env'" in err and "'n_steps'" in err
         assert not out.exists()
 
+    def test_environment_budget_refused_before_the_first_cell(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # a quenched cell over 10^8 + 1 environments would run for days
+        def must_not_run(cfg):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli, "quenched_free_energy", must_not_run)
+        text = MINIMAL.replace("beta = 0\n", "grid.beta = 0, 0.5\n").replace(
+            "n_envs = 4", f"n_envs = {10 ** 8 + 1}")
+        out = tmp_path / "out"
+        assert main(["sweep", str(write_config(tmp_path, text)), "--out", str(out)]) == 2
+        assert "'n_envs'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_annealed_sweep_at_long_horizon_runs(self, tmp_path):
         # the annealed estimator samples no paths, so no path budget applies
         text = MINIMAL.replace("t = 1\n", "grid.t = 1, 1000\n").replace(
@@ -465,11 +479,16 @@ class TestAnalytic:
         (["bc-bounds", "--branch", "plus", "--beta0", "0.6931", "--nu0", "1",
           "--alpha", "1", "--nu", "nan"], "--nu"),
         (["l2", "--beta", "0", "--nu", "1", "--a-l2", "inf"], "--a-l2"),
+        (["bessel", "--d", "0"], "--d"),
+        (["bessel", "--d", "20001"], "--d"),
+        (["bessel", "--d", str(10 ** 30)], "--d"),
+        (["bessel", "--d", "2.5"], "--d"),
     ], ids=["lambda-beta-big", "lambda-grid-big", "lambda-grid-count-0",
             "lambda-grid-count-negative", "alpha-grid-count-big", "h-alpha-u-grid-count-big",
             "alpha-beta-big", "alpha-beta-negative",
             "alpha-beta-nan", "psi-phi-beta-big", "psi-phi-u-inf", "classify-beta-big",
-            "bc-bounds-nu-nan", "l2-a-l2-inf"])
+            "bc-bounds-nu-nan", "l2-a-l2-inf", "bessel-d-0", "bessel-d-20001",
+            "bessel-d-1e30", "bessel-d-fractional"])
     def test_bad_argument_names_flag(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
             main(["analytic", *argv])
