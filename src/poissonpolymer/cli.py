@@ -293,7 +293,7 @@ def _linspace(parse):
 
 
 def _dimension(text: str) -> int:
-    """Type of ``bessel --d``: refused before its sign scan of about 50 d doubles."""
+    """Type of ``bessel --d``: at most 2e4, so its sign scan of about 50 d doubles stays small."""
     if not text.isdecimal() or not 1 <= int(text) <= 2 * 10 ** 4:
         raise argparse.ArgumentTypeError(f"dimension must be an integer in [1, 2e4], got {text!r}")
     return int(text)
