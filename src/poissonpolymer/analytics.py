@@ -14,6 +14,7 @@ the annealed-quenched gap grows.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -308,20 +309,23 @@ def in_l2_region(beta: float, nu: float, a_l2: float) -> bool:
 
 
 _SCAN_STEP = 0.01
+# Largest d that ``bessel_zero`` takes: its sign scan holds about 50 d doubles.
+MAX_BESSEL_DIMENSION = 2 * 10 ** 4
 
 
+@functools.cache
 def bessel_zero(d: int) -> float:
     """Smallest positive zero of the Bessel function J of order (d - 4) / 2.
 
     The root is isolated by a sign scan with step 0.01 starting just above
-    zero, then refined by bracketed root-finding to 1e-12.
+    zero, then refined by bracketed root-finding to 1e-12; cached per d.
     """
     # imported here: scipy would triple the CLI's start-up time
     from scipy.optimize import brentq
     from scipy.special import jv
 
-    if d < 1 or int(d) != d:
-        raise InvalidParameterError(f"dimension must be a positive integer, got {d}")
+    if not 1 <= d <= MAX_BESSEL_DIMENSION or int(d) != d:
+        raise InvalidParameterError(f"d = {d} is not an integer in [1, {MAX_BESSEL_DIMENSION}]")
     order = (d - 4) / 2.0
     hi = 6.0 if order <= 0 else order + 2.5 * order ** (1.0 / 3.0) + 4.0
     xs = np.arange(_SCAN_STEP, hi, _SCAN_STEP)

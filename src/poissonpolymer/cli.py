@@ -6,7 +6,9 @@ comments.  Accepted keys (anything else is rejected):
     d, beta, nu, t, n_steps, paths_per_env, n_envs, bin_width, delta,
     seed, mode, grid.beta, grid.nu, grid.t
 
-``mode`` selects the experiment: quenched, annealed, localization,
+An absent key takes ``ExperimentConfig``'s default, except ``d = 1`` and
+``t = 4``; ``beta`` and ``nu`` are required unless a ``grid.*`` key gives
+them.  ``mode`` selects the experiment: quenched, annealed, localization,
 dp-dbeta or dp-dnu.  ``grid.*`` keys hold comma-separated lists and are
 only valid for ``sweep``; cells run in beta-major, then nu, then t order.
 Couplings lie in [-BETA_LIMIT, BETA_LIMIT] for both ``simulate``/``sweep``
@@ -28,12 +30,12 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
 from . import __version__
 from .analytics import (
+    MAX_BESSEL_DIMENSION,
     CriticalPoint,
     annealed_gap_integrand,
     annealed_rate,
@@ -59,10 +61,13 @@ from .estimators import (
     quenched_free_energy,
 )
 
-CONFIG_KEYS = {
-    "d", "beta", "nu", "t", "n_steps", "paths_per_env", "n_envs",
-    "bin_width", "delta", "seed", "mode", "grid.beta", "grid.nu", "grid.t",
+# number keys -> (ExperimentConfig field, type); an absent key takes the field's default
+NUMBER_KEYS = {
+    "d": ("d", int), "beta": ("beta", float), "nu": ("nu", float), "t": ("t", float),
+    "n_steps": ("n_steps", int), "paths_per_env": ("n_paths", int), "n_envs": ("n_envs", int),
+    "bin_width": ("bin_width", float), "delta": ("delta", float), "seed": ("seed", int),
 }
+CONFIG_KEYS = {*NUMBER_KEYS, "mode", "grid.beta", "grid.nu", "grid.t"}
 MODES = ("quenched", "annealed", "localization", "dp-dbeta", "dp-dnu")
 CSV_HEADER = "mode,d,beta,nu,t,n_steps,M,K,h,value,std_error,ess_min,observable"
 
@@ -98,74 +103,47 @@ def parse_config_text(text: str) -> dict[str, str]:
     return raw
 
 
-def _parse_number(raw: dict, key: str, cast, default=None):
-    if key not in raw:
-        if default is None:
-            raise ConfigError(f"missing required config key '{key}'")
-        return default
+def _parse_number(raw: dict, key: str, cast):
     try:
         return cast(raw[key])
     except ValueError as exc:
         raise ConfigError(f"invalid value for key '{key}': {raw[key]!r}") from exc
 
 
-def _parse_list(raw: dict, key: str):
-    if key not in raw:
-        return None
-    try:
-        values = [float(v) for v in raw[key].split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"invalid value for key '{key}': {raw[key]!r}") from exc
+def _parse_list(raw: dict, key: str) -> list[float]:
+    values = _parse_number(raw, key, lambda text: [float(v) for v in text.split(",") if v.strip()])
     if not values:
         raise ConfigError(f"empty grid for key '{key}'")
     return values
 
 
-@dataclass
-class RunPlan:
-    mode: str
-    base: dict
-    grids: dict  # "beta", "nu", "t" -> list of values, or None for the base value
-
-    def cells(self) -> list[ExperimentConfig]:
-        """Beta-major, then nu, then t; every path stack is checked before any cell runs."""
-        axes = [self.grids[key] or [self.base[key]] for key in ("beta", "nu", "t")]
-        cells = [ExperimentConfig(**dict(self.base, beta=beta, nu=nu, t=t))
-                 for beta, nu, t in product(*axes)]
-        for cfg in cells if self.mode != "annealed" else ():  # only it samples no paths
-            cfg.check_path_budget()
-        return cells
-
-
-def build_run_plan(raw: dict, sweep: bool, seed_override: int | None = None) -> RunPlan:
+def build_run_plan(raw: dict, sweep: bool,
+                   seed_override: int | None = None) -> tuple[str, list[ExperimentConfig]]:
+    """``(mode, cells)``, beta-major, then nu, then t; path stacks checked before any runs."""
     mode = raw.get("mode", "quenched")
     if mode not in MODES:
         raise ConfigError(f"invalid value for key 'mode': {mode!r} (choose from {MODES})")
-    grids = {key: _parse_list(raw, f"grid.{key}") for key in ("beta", "nu", "t")}
-    if not sweep and any(g is not None for g in grids.values()):
+    grids = {k: _parse_list(raw, f"grid.{k}") for k in ("beta", "nu", "t") if f"grid.{k}" in raw}
+    if grids and not sweep:
         raise ConfigError("grid.* keys are only valid for the sweep command")
-    base = {
-        "d": _parse_number(raw, "d", int, 1),
-        "beta": _parse_number(raw, "beta", float,
-                              0.0 if grids["beta"] is not None else None),
-        "nu": _parse_number(raw, "nu", float,
-                            1.0 if grids["nu"] is not None else None),
-        "t": _parse_number(raw, "t", float, 4.0),
-        "n_steps": _parse_number(raw, "n_steps", int) if "n_steps" in raw else None,
-        "n_paths": _parse_number(raw, "paths_per_env", int, 2000),
-        "n_envs": _parse_number(raw, "n_envs", int, 200),
-        "bin_width": _parse_number(raw, "bin_width", float) if "bin_width" in raw else None,
-        "delta": _parse_number(raw, "delta", float, 0.25),
-        "seed": _parse_number(raw, "seed", int, 0),
-    }
+    base = {"d": 1, "t": 4.0}  # the format's own defaults; the rest are ExperimentConfig's
+    for key, (name, cast) in NUMBER_KEYS.items():
+        if key in raw:
+            base[name] = _parse_number(raw, key, cast)
+        elif key in ("beta", "nu") and key not in grids:
+            raise ConfigError(f"missing required config key '{key}'")
     if seed_override is not None:
         base["seed"] = seed_override
-    return RunPlan(mode=mode, base=base, grids=grids)
+    axes = [grids.get(key) or [base[key]] for key in ("beta", "nu", "t")]
+    cells = [ExperimentConfig(**dict(base, beta=beta, nu=nu, t=t))
+             for beta, nu, t in product(*axes)]
+    for cfg in cells if mode != "annealed" else ():  # only it samples no paths
+        cfg.check_path_budget()
+    return mode, cells
 
 
 def _none_if_nan(v: float) -> float | None:
-    """JSON has no NaN: an undefined number (one replicate's standard error,
-    a missing ESS) is written as null."""
+    """JSON has no NaN: an undefined number (one replicate's SE, no ESS) is written as null."""
     return None if math.isnan(v) else v
 
 
@@ -176,28 +154,18 @@ def _run_cell(mode: str, cfg: ExperimentConfig) -> list[dict]:
     in this module's namespace is the one called.
     """
     experiments = {"quenched": quenched_free_energy, "annealed": annealed_free_energy,
-                   "localization": localization_scan, "dp-dbeta": dp_dbeta,
-                   "dp-dnu": dp_dnu}
-    estimates = experiments[mode](cfg)
-    extra = {}
-    if mode == "localization":
-        extra["delta_sets"] = {
-            name: {"value": estimates[key].value,
-                   "std_error": _none_if_nan(estimates[key].std_error)}
-            for name, key in (("middle", "delta_middle"),
-                              ("negligible_in_tube", "delta_negligible"),
-                              ("predominant_out_of_tube", "delta_predominant"))}
+                   "localization": localization_scan, "dp-dbeta": dp_dbeta, "dp-dnu": dp_dnu}
     return [{
         "mode": mode, "d": cfg.d, "beta": cfg.beta, "nu": cfg.nu, "t": cfg.t,
         "n_steps": cfg.n_steps, "M": cfg.n_paths, "K": cfg.n_envs,
         "h": cfg.bin_width, "value": est.value, "std_error": est.std_error,
         "ess_min": est.diagnostics.get("ess_min", math.nan), "observable": observable,
-        "diagnostics": {key: _none_if_nan(v) for key, v in est.diagnostics.items()}, **extra,
-    } for observable, est in estimates.items()]
+        "diagnostics": {key: _none_if_nan(v) for key, v in est.diagnostics.items()},
+    } for observable, est in experiments[mode](cfg).items()]
 
 
-def _write_outputs(out_dir: Path, rows: list[dict], config_text: str,
-                   plan: RunPlan, timings: dict):
+def _write_outputs(out_dir: Path, rows: list[dict], config_text: str, mode: str,
+                   master_seed: int, timings: dict):
     out_dir.mkdir(parents=True, exist_ok=True)
     config_sha = hashlib.sha256(config_text.encode()).hexdigest()
 
@@ -217,8 +185,8 @@ def _write_outputs(out_dir: Path, rows: list[dict], config_text: str,
         "stream_rule": STREAM_RULE,
         "config_text": config_text,
         "config_sha256": config_sha,
-        "master_seed": plan.base["seed"],
-        "mode": plan.mode,
+        "master_seed": master_seed,
+        "mode": mode,
         "timings_seconds": timings,
     }
     (out_dir / "manifest.json").write_text(
@@ -247,17 +215,17 @@ def _load_config_text(args) -> str:
 
 def _cmd_experiment(args, sweep: bool) -> int:
     config_text = _load_config_text(args)
-    plan = build_run_plan(parse_config_text(config_text), sweep=sweep,
-                          seed_override=args.seed)
+    mode, cells = build_run_plan(parse_config_text(config_text), sweep=sweep,
+                                 seed_override=args.seed)
     rows = []
     timings = {}
     start = time.perf_counter()
-    for idx, cfg in enumerate(plan.cells()):
+    for idx, cfg in enumerate(cells):
         cell_start = time.perf_counter()
-        rows.extend(_run_cell(plan.mode, cfg))
+        rows.extend(_run_cell(mode, cfg))
         timings[f"cell_{idx}"] = time.perf_counter() - cell_start
     timings["total"] = time.perf_counter() - start
-    _write_outputs(Path(args.out), rows, config_text, plan, timings)
+    _write_outputs(Path(args.out), rows, config_text, mode, cells[0].seed, timings)
     return 0
 
 
@@ -293,9 +261,10 @@ def _linspace(parse):
 
 
 def _dimension(text: str) -> int:
-    """Type of ``bessel --d``: at most 2e4, so its sign scan of about 50 d doubles stays small."""
-    if not text.isdecimal() or not 1 <= int(text) <= 2 * 10 ** 4:
-        raise argparse.ArgumentTypeError(f"dimension must be an integer in [1, 2e4], got {text!r}")
+    """Type of ``bessel --d``: the library's bound, checked before argparse accepts the flag."""
+    if not text.isdecimal() or not 1 <= int(text) <= MAX_BESSEL_DIMENSION:
+        raise argparse.ArgumentTypeError(
+            f"dimension must be an integer in [1, {MAX_BESSEL_DIMENSION}], got {text!r}")
     return int(text)
 
 

@@ -34,7 +34,7 @@ __all__ = [
 # One chunk's (M, chunk, d) float64 difference array in ``batch_tube_counts``
 # holds at most this many elements (512 KiB): a gather of every live point at
 # once would cost M * n_points * d doubles, hundreds of MB at nu = 100.
-# ``polymer.occupancy_field`` takes chunks of ``_CHUNK_ELEMENTS // (2R + 1)^d``
+# ``polymer._field_blocks`` takes chunks of ``_CHUNK_ELEMENTS // (2R + 1)^d``
 # (slab, path) pairs, so a chunk's stencil bins stay under it too, and
 # ``polymer.sample_paths`` draws the increments of as many paths at a time.
 _CHUNK_ELEMENTS = 2 ** 16

@@ -447,3 +447,10 @@ class TestBesselBound:
     def test_invalid_dimension(self):
         with pytest.raises(InvalidParameterError):
             bessel_zero(0)
+
+    @pytest.mark.parametrize("of_d", [bessel_zero, critical_intensity_ratio,
+                                      critical_intensity_lower_bound])
+    def test_dimension_above_the_bound(self, of_d):
+        # refused before the sign scan of about 50 d doubles is allocated
+        with pytest.raises(InvalidParameterError, match="20000"):
+            of_d(10 ** 30)

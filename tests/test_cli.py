@@ -4,15 +4,17 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import poissonpolymer.cli as cli
+from poissonpolymer.analytics import bessel_zero
 from poissonpolymer.cli import build_run_plan, main, parse_config_text
 from poissonpolymer.environment import SpaceTimeBox, sample_poisson
 from poissonpolymer.errors import ConfigError, InvariantViolationError
-from poissonpolymer.estimators import EstimateWithError
+from poissonpolymer.estimators import EstimateWithError, ExperimentConfig
 from poissonpolymer.polymer import TimeGrid, bounding_box_for, build_ensemble, sample_paths
 from poissonpolymer.streams import substream
 
@@ -82,14 +84,29 @@ class TestConfigParsing:
     def test_invalid_value_names_key(self):
         raw = parse_config_text("beta = 0\nnu = 1\nn_envs = 0\n")
         with pytest.raises(ValueError, match="n_envs"):
-            build_run_plan(raw, sweep=False).cells()
+            build_run_plan(raw, sweep=False)
 
     def test_cell_order_beta_major(self):
         raw = parse_config_text(
             "nu = 1\nbeta = 0\ngrid.beta = 0,1\ngrid.t = 1,2\n"
             "paths_per_env = 8\nn_envs = 2\n")
-        cells = build_run_plan(raw, sweep=True).cells()
+        _, cells = build_run_plan(raw, sweep=True)
         assert [(c.beta, c.t) for c in cells] == [(0, 1), (0, 2), (1, 1), (1, 2)]
+
+    def test_absent_keys_take_the_config_defaults(self):
+        # only d = 1 and t = 4 are the format's own; the rest are ExperimentConfig's
+        raw = parse_config_text("beta = 0\nnu = 1\n")
+        assert build_run_plan(raw, sweep=False) == (
+            "quenched", [ExperimentConfig(d=1, beta=0.0, nu=1.0, t=4.0)])
+
+    def test_config_keys_match_the_docs(self):
+        # the key list in the module docstring and the README's config block
+        listed = cli.__doc__.split("rejected):", 1)[1].split("\n\n")[1]
+        assert {key.strip() for key in listed.split(",")} == cli.CONFIG_KEYS
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("### Config format", 1)[1].split("```")[1]
+        keys = {line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line}
+        assert keys and keys <= cli.CONFIG_KEYS
 
 
 class TestSimulate:
@@ -228,8 +245,6 @@ class TestSimulate:
             assert line.split(",")[10] == "nan"
         for row in load_results_json(out):
             assert row["std_error"] is None
-            for entry in row.get("delta_sets", {}).values():
-                assert entry["std_error"] is None
 
     @pytest.mark.parametrize("mode,keys", [
         ("quenched", PATH_BATCH_KEYS | {"jackknife_bias_mean"}),
@@ -349,8 +364,28 @@ class TestSweep:
         assert len(overlap_rows) == 3
         rows = json.loads((out / "results.json").read_text())
         loc_rows = [r for r in rows if r["observable"] == "replica_overlap"]
-        assert all("delta_sets" in r for r in loc_rows)
+        assert all("delta_sets" not in r for r in loc_rows)
         assert [r["beta"] for r in loc_rows] == [0.0, 0.5, 1.0]
+
+    def test_delta_rows_match_their_csv_rows(self, tmp_path):
+        text = MINIMAL.replace("beta = 0\n", "beta = 0.5\n").replace("quenched", "localization")
+        out = tmp_path / "out"
+        assert main(["sweep", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+        csv_rows = {line.split(",")[-1]: line.split(",")
+                    for line in (out / "results.csv").read_text().split("\n")[1:] if line}
+        rows = {r["observable"]: r for r in load_results_json(out)}
+        assert all("delta_sets" not in r for r in rows.values())
+        for observable in ("delta_middle", "delta_negligible", "delta_predominant"):
+            fields = csv_rows[observable]
+            assert rows[observable]["value"] == float(fields[9])
+            assert rows[observable]["std_error"] == float(fields[10])
+
+    def test_manifest_seed_follows_the_override(self, tmp_path):
+        text = MINIMAL.replace("beta = 0\n", "grid.beta = 0, 0.5\n")
+        out = tmp_path / "out"
+        assert main(["sweep", str(write_config(tmp_path, text)), "--out", str(out),
+                     "--seed", "11"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["master_seed"] == 11
 
     def test_path_budget_refused_before_the_first_cell(self, tmp_path, monkeypatch, capsys):
         # the t = 1 cell fits the budget, the t = 1000 cell does not
@@ -401,6 +436,17 @@ class TestAnalytic:
         assert float(gamma) == pytest.approx(math.pi / 2.0, abs=1e-10)
         assert float(ratio) == pytest.approx(1.266, abs=2e-3)
         assert float(ratio_sq) == pytest.approx(float(ratio) ** 2, rel=1e-12)
+
+    def test_bessel_solves_its_zero_once(self, capsys, monkeypatch):
+        # the ratio and its square reuse the zero the table prints
+        import scipy.optimize
+
+        calls, brentq = [], scipy.optimize.brentq
+        monkeypatch.setattr(scipy.optimize, "brentq",
+                            lambda *args, **kwargs: calls.append(args) or brentq(*args, **kwargs))
+        bessel_zero.cache_clear()
+        self.run_lines(capsys, "bessel", "--d", "7")
+        assert len(calls) == 1
 
     def test_alpha_at_zero(self, capsys):
         _, row = self.run_lines(capsys, "alpha", "--beta", "0")
