@@ -36,7 +36,6 @@ from .estimators import (
     dp_dbeta,
     dp_dnu,
     localization_scan,
-    nu_monotonicity,
     quenched_free_energy,
 )
 from .geometry import unit_ball_radius

@@ -39,8 +39,8 @@ __all__ = [
 # ``polymer.sample_paths`` draws the increments of as many paths at a time.
 _CHUNK_ELEMENTS = 2 ** 16
 
-# Budget of expected points nu * |box| per cloud (80 MB per coordinate),
-# checked before any allocation so that a huge nu fails naming 'nu'.
+# Budget of expected points nu * |box| per cloud (80 MB per coordinate), checked before
+# any allocation so that a huge nu, or a window volume that overflows, fails naming its keys.
 MAX_EXPECTED_POINTS = 10 ** 7
 
 
@@ -96,6 +96,19 @@ class PointCloud:
         return len(self.times)
 
 
+def _expected_points(box: SpaceTimeBox, nu: float) -> float:
+    """nu |box|, refused unless at most ``MAX_EXPECTED_POINTS``: a NaN is refused too."""
+    if nu < 0:
+        raise InvalidParameterError(f"intensity must be nonnegative, got {nu}")
+    mean = nu * box.volume
+    if not mean <= MAX_EXPECTED_POINTS:
+        cause = (f"'nu' = {nu}" if np.isfinite(box.volume)
+                 else f"a window of volume {box.volume} (from 't' and 'd')")
+        raise InvalidParameterError(f"{cause} expects {mean:.3g} points, "
+                                    f"not within the budget of {MAX_EXPECTED_POINTS:.0e}")
+    return mean
+
+
 def draw_poisson(box: SpaceTimeBox, nu: float, rngs) -> tuple:
     """Times, coordinates and sizes of one homogeneous Poisson cloud per
     generator in ``rngs``, checked against the point budget before the first.
@@ -104,12 +117,7 @@ def draw_poisson(box: SpaceTimeBox, nu: float, rngs) -> tuple:
     as one block of n (d + 1) uniforms, so a given stream always produces
     bitwise-identical clouds, in (0, t_max] x box by construction.
     """
-    if nu < 0:
-        raise InvalidParameterError(f"intensity must be nonnegative, got {nu}")
-    mean = nu * box.volume
-    if mean > MAX_EXPECTED_POINTS:
-        raise InvalidParameterError(f"'nu' = {nu} expects {mean:.3g} points, "
-                                    f"above the budget of {MAX_EXPECTED_POINTS:.0e}")
+    mean = _expected_points(box, nu)
     sizes, draws = [], []
     for rng in rngs:
         sizes.append(int(rng.poisson(mean)))
@@ -135,9 +143,8 @@ def slab_indices(times: np.ndarray, t: float, n_steps: int) -> np.ndarray:
     return np.minimum(np.floor(times / dt).astype(np.int64), n_steps - 1)
 
 
-def batch_tube_counts(cloud: PointCloud, positions: np.ndarray,
-                      t: float, n_steps: int) -> np.ndarray:
-    """Tube counts for a stack of paths, shape (M, n_steps+1, d) -> (M,).
+def batch_tube_counts(cloud: PointCloud, positions: np.ndarray, t: float) -> np.ndarray:
+    """Tube counts for a stack of paths on [0, t], shape (M, n_steps+1, d) -> (M,).
 
     Points beyond the path horizon t are ignored; every live point is tested
     against each path's position at the point's slab, a chunk of points at a
@@ -146,7 +153,7 @@ def batch_tube_counts(cloud: PointCloud, positions: np.ndarray,
     n_paths, _, d = positions.shape
     counts = np.zeros(n_paths, dtype=np.int64)
     live = cloud.times <= t
-    ks = slab_indices(cloud.times[live], t, n_steps)
+    ks = slab_indices(cloud.times[live], t, positions.shape[1] - 1)
     order = np.argsort(ks)
     ks, coords = ks[order], cloud.coords[live][order]
     r2 = unit_ball_radius(d) ** 2

@@ -33,15 +33,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytics import _log_tilt, _tilt
-from .environment import (_CHUNK_ELEMENTS, SpaceTimeBox, batch_tube_counts, draw_poisson,
-                          sample_poisson)
+from .environment import (_CHUNK_ELEMENTS, SpaceTimeBox, _expected_points, batch_tube_counts,
+                          draw_poisson, sample_poisson)
 from .errors import InvalidParameterError
 from .geometry import unit_ball_radius
 from .polymer import (
     MAX_PATH_ELEMENTS,
     GibbsEnsemble,
     TimeGrid,
-    WINDOW_MARGIN,
     bounding_box_for,
     build_ensemble,
     field_report,
@@ -58,7 +57,6 @@ __all__ = [
     "annealed_free_energy",
     "dp_dbeta",
     "dp_dnu",
-    "nu_monotonicity",
     "localization_scan",
 ]
 
@@ -119,13 +117,14 @@ class ExperimentConfig:
             value = getattr(self, key)
             require(key, value is None or math.isfinite(value))
         require("d", self.d >= 1 and int(self.d) == self.d)  # the bin_width default needs it
+        require("t", self.t > 0)  # the n_steps default 64 t needs it, and 64 t finite
         if self.n_steps is None:
+            require("t", math.isfinite(64 * self.t))
             object.__setattr__(self, "n_steps", max(1, round(64 * self.t)))
         if self.bin_width is None:
             object.__setattr__(self, "bin_width", unit_ball_radius(self.d) / 4.0)
         require("beta", abs(self.beta) <= BETA_LIMIT)
         require("nu", self.nu >= 0)
-        require("t", self.t > 0)
         require("n_steps", self.n_steps >= 1)
         require("paths_per_env", self.n_paths >= 1)
         require("n_envs", 1 <= self.n_envs <= 10 ** 8)
@@ -170,24 +169,22 @@ def _over_environments(cfg: ExperimentConfig, reduce, nus=None, extra_nu=None,
     No replicate's path stack outlives the replicate.
     """
     cfg.check_path_budget()
-    grid = cfg.grid
     rows, stats = [], []
     min_slack = math.inf
     for i in range(cfg.n_envs):
-        positions = sample_paths(grid, cfg.d, cfg.n_paths,
+        positions = sample_paths(cfg.grid, cfg.d, cfg.n_paths,
                                  substream(cfg.seed, "paths", i))
         extent = path_extent(positions)
-        lo, hi = bounding_box_for(positions, WINDOW_MARGIN, extent)
-        box = SpaceTimeBox(t_max=cfg.t, lo=lo, hi=hi)
+        box = SpaceTimeBox(cfg.t, *bounding_box_for(positions, extent))
         clouds = [sample_poisson(box, nu, substream(cfg.seed, "cloud", i))
                   for nu in (nus or (cfg.nu,))]
-        ensembles = [build_ensemble(positions, grid, cloud, cfg.beta, extent)
+        ensembles = [build_ensemble(positions, cfg.t, cloud, cfg.beta, extent)
                      for cloud in clouds]
         if extra_nu is not None:
             extra = sample_poisson(box, extra_nu, substream(cfg.seed, "cloud-extra", i))
-            ensembles.append(GibbsEnsemble(
-                positions, grid, ensembles[-1].hamiltonians
-                + batch_tube_counts(extra, positions, grid.t, grid.n_steps), cfg.beta, box))
+            ensembles.append(GibbsEnsemble(positions, ensembles[-1].hamiltonians
+                                           + batch_tube_counts(extra, positions, cfg.t),
+                                           cfg.beta, box))
         stats.append((ensembles[0].ess, clouds[0].n_points, box.volume))
         if densities is not None:
             report, integrals = field_report(ensembles[0], cfg.bin_width, cfg.delta,
@@ -235,10 +232,9 @@ def annealed_free_energy(cfg: ExperimentConfig) -> dict[str, EstimateWithError]:
     The standard error comes from the delta method.
     """
     r = unit_ball_radius(cfg.d)
-    box = SpaceTimeBox(t_max=cfg.t, lo=(-r - WINDOW_MARGIN,) * cfg.d,
-                       hi=(r + WINDOW_MARGIN,) * cfg.d)
+    box = SpaceTimeBox(cfg.t, *bounding_box_for(np.zeros((1, 1, cfg.d))))
     counts = np.empty(cfg.n_envs, dtype=np.int64)
-    block = max(1, _CHUNK_ELEMENTS // (cfg.d * math.ceil(cfg.nu * box.volume + 1)))
+    block = max(1, _CHUNK_ELEMENTS // (cfg.d * math.ceil(_expected_points(box, cfg.nu) + 1)))
     clouds = substreams(cfg.seed, "cloud", range(cfg.n_envs))
     for start in range(0, cfg.n_envs, block):
         envs = range(start, min(start + block, cfg.n_envs))
@@ -300,27 +296,6 @@ def dp_dnu(cfg: ExperimentConfig) -> dict[str, EstimateWithError]:
         densities=(lambda m: _log_tilt(cfg.beta, m),))
     return {"dp_dnu_field": _mean_se(field_values, diag),
             "dp_dnu_coupled_fd": _mean_se(fd_values, {"min_slack": diag["min_slack"]})}
-
-
-def nu_monotonicity(cfg: ExperimentConfig, nu_lo: float) -> dict[str, EstimateWithError]:
-    """Coupled estimate of p(beta, nu) - p(beta, nu_lo) and its bound slacks.
-
-    The nu tube counts are the nu_lo counts plus those of an independent
-    (nu - nu_lo)-cloud on the same window, with the same path batch, so the
-    monotone coupling bounds hold replicate by replicate in expectation.
-    Returns the ``difference``, its ``lower`` slack (difference minus
-    beta (nu - nu_lo)) and its ``upper`` slack (lambda (nu - nu_lo) minus
-    difference).
-    """
-    if not 0.0 < nu_lo <= cfg.nu:
-        raise InvalidParameterError(f"need 0 < nu_lo <= nu, got nu_lo={nu_lo}")
-    gap = cfg.nu - nu_lo
-    (diffs,), _ = _over_environments(
-        cfg, lambda ens_lo, ens_hi: ((ens_hi.log_z_hat - ens_lo.log_z_hat) / cfg.t,),
-        nus=(nu_lo,), extra_nu=gap)
-    return {"difference": _mean_se(diffs),
-            "lower": _mean_se(diffs - cfg.beta * gap),
-            "upper": _mean_se(math.expm1(cfg.beta) * gap - diffs)}
 
 
 def localization_scan(cfg: ExperimentConfig) -> dict[str, EstimateWithError]:

@@ -113,27 +113,24 @@ def path_extent(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.array([positions[..., i].max() for i in axes]))
 
 
-def bounding_box_for(positions: np.ndarray, margin: float = WINDOW_MARGIN,
-                     extent: tuple | None = None) -> tuple:
-    """Spatial window lo/hi covering a path stack inflated by r_d + margin.
+def bounding_box_for(positions: np.ndarray, extent: tuple | None = None) -> tuple:
+    """Spatial window lo/hi covering a path stack inflated by r_d + ``WINDOW_MARGIN``.
 
     ``extent`` is the stack's ``path_extent``, when the caller has taken it.
     """
-    r = unit_ball_radius(positions.shape[2])
+    pad = unit_ball_radius(positions.shape[2]) + WINDOW_MARGIN
     pmin, pmax = extent or path_extent(positions)
-    return tuple(pmin - (r + margin)), tuple(pmax + (r + margin))
+    return tuple(pmin - pad), tuple(pmax + pad)
 
 
 class GibbsEnsemble:
     """M weighted paths under one environment; Monte Carlo polymer measure.
 
-    ``positions`` is the (M, n_steps + 1, d) path stack on ``grid``.
+    ``positions`` is the (M, n_steps + 1, d) path stack, which sets M, n_steps and d.
     """
 
-    def __init__(self, positions: np.ndarray, grid: TimeGrid,
-                 hamiltonians: np.ndarray, beta: float, box):
+    def __init__(self, positions: np.ndarray, hamiltonians: np.ndarray, beta: float, box):
         self.positions = positions
-        self.grid = grid
         self.hamiltonians = np.asarray(hamiltonians, dtype=np.int64)
         self.beta = float(beta)
         self.box = box
@@ -167,6 +164,10 @@ class GibbsEnsemble:
         return self.positions.shape[0]
 
     @property
+    def n_steps(self) -> int:
+        return self.positions.shape[1] - 1
+
+    @property
     def d(self) -> int:
         return self.positions.shape[2]
 
@@ -181,9 +182,9 @@ class GibbsEnsemble:
         return float(1.0 / np.sum(self.normalized_weights ** 2))
 
 
-def build_ensemble(positions: np.ndarray, grid: TimeGrid, cloud: PointCloud,
+def build_ensemble(positions: np.ndarray, t: float, cloud: PointCloud,
                    beta: float, extent: tuple | None = None) -> GibbsEnsemble:
-    """Weight a path stack on ``grid`` by its tube counts in the given cloud.
+    """Weight a path stack on [0, t] by its tube counts in the given cloud.
 
     Fails loudly if the cloud window does not cover every tube: points
     outside the window cannot be collected, so a too-small window would
@@ -193,13 +194,12 @@ def build_ensemble(positions: np.ndarray, grid: TimeGrid, cloud: PointCloud,
     r = unit_ball_radius(positions.shape[2])
     lo, hi = np.asarray(cloud.box.lo), np.asarray(cloud.box.hi)
     pmin, pmax = extent or path_extent(positions)
-    if np.any(pmin - r < lo) or np.any(pmax + r > hi) or cloud.box.t_max < grid.t:
+    if np.any(pmin - r < lo) or np.any(pmax + r > hi) or cloud.box.t_max < t:
         raise WindowCoverageError(
             "cloud window does not cover the path tubes: need "
-            f"lo <= {pmin - r}, hi >= {pmax + r}, t_max >= {grid.t}; "
+            f"lo <= {pmin - r}, hi >= {pmax + r}, t_max >= {t}; "
             f"box has lo={lo}, hi={hi}, t_max={cloud.box.t_max}")
-    hamiltonians = batch_tube_counts(cloud, positions, grid.t, grid.n_steps)
-    return GibbsEnsemble(positions, grid, hamiltonians, beta, cloud.box)
+    return GibbsEnsemble(positions, batch_tube_counts(cloud, positions, t), beta, cloud.box)
 
 
 def _field_blocks(ensemble: GibbsEnsemble, h: float):
@@ -230,7 +230,7 @@ def _field_blocks(ensemble: GibbsEnsemble, h: float):
     """
     if h <= 0:
         raise InvalidParameterError(f"bin width must be positive, got {h}")
-    d, n, n_paths = ensemble.d, ensemble.grid.n_steps, ensemble.n_paths
+    d, n, n_paths = ensemble.d, ensemble.n_steps, ensemble.n_paths
     lo = np.asarray(ensemble.box.lo)
     shape = np.ceil((np.asarray(ensemble.box.hi) - lo) / h)
     if n * np.prod(shape) > MAX_FIELD_BINS:

@@ -19,7 +19,7 @@ def random_gibbs_ensemble(seed, d=1, beta=0.7, nu=1.5, t=2.0, n_steps=32, n_path
     lo, hi = bounding_box_for(positions)
     box = SpaceTimeBox(t_max=t, lo=lo, hi=hi)
     cloud = sample_poisson(box, nu, substream(seed, "cloud", 0))
-    return build_ensemble(positions, grid, cloud, beta)
+    return build_ensemble(positions, t, cloud, beta)
 
 
 def random_ensemble(seed, d=1, beta=0.7, nu=1.5, t=2.0, n_steps=32,

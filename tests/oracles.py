@@ -6,11 +6,15 @@ overlap, the favourite overlap, tube counts, the added-point reweighting)
 by the slowest obvious route, or by the library's own earlier route where
 the test is bit-for-bit equality.  The whole (n_steps, B) field and its
 whole-array two-to-one report are the oracles of the slab-streamed
-``polymer.field_report``.
+``polymer.field_report``.  ``nu_monotonicity``, the coupled
+intensity-monotonicity slacks, runs the library's environment loop as an
+experiment no CLI mode offers: it checks that p(beta, nu) - p(beta, nu_lo)
+lies between beta (nu - nu_lo) and (e^beta - 1)(nu - nu_lo).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +23,8 @@ from scipy.special import betainc
 from poissonpolymer import polymer
 from poissonpolymer.environment import _CHUNK_ELEMENTS, PointCloud, batch_tube_counts
 from poissonpolymer.errors import InvalidParameterError, InvariantViolationError
+from poissonpolymer.estimators import (EstimateWithError, ExperimentConfig, _mean_se,
+                                       _over_environments)
 from poissonpolymer.geometry import unit_ball_radius
 from poissonpolymer.polymer import TwoToOneReport
 
@@ -119,8 +125,8 @@ def occupancy_field_dense(ensemble, h: float) -> np.ndarray:
     centers = bin_centers(ensemble.box, h)
     r2 = unit_ball_radius(ensemble.d) ** 2
     w = ensemble.normalized_weights
-    values = np.empty((ensemble.grid.n_steps, centers.shape[0]))
-    for k in range(ensemble.grid.n_steps):
+    values = np.empty((ensemble.n_steps, centers.shape[0]))
+    for k in range(ensemble.n_steps):
         diff = ensemble.positions[:, k, :, np.newaxis] - centers.T[np.newaxis, :, :]
         values[k] = w @ (np.einsum("mdb,mdb->mb", diff, diff) <= r2)
     return values
@@ -139,7 +145,7 @@ def occupancy_field_candidates(ensemble, h: float,
     half a bin outward, but keeps these entries, their order and the chunks,
     so it must equal this bit for bit.
     """
-    d, n, n_paths = ensemble.d, ensemble.grid.n_steps, ensemble.n_paths
+    d, n, n_paths = ensemble.d, ensemble.n_steps, ensemble.n_paths
     lo = np.asarray(ensemble.box.lo)
     shape = np.array([int(np.ceil((b - a) / h))
                       for a, b in zip(ensemble.box.lo, ensemble.box.hi)])
@@ -185,7 +191,7 @@ def sample_paths_single_draw(grid, d: int, n_paths: int, rng) -> np.ndarray:
 def count_in_tube(cloud: PointCloud, path: np.ndarray, t: float) -> int:
     """Number of cloud points inside the tube of one path, shape
     (n_steps+1, d) on the grid of horizon t (with multiplicity)."""
-    counts = batch_tube_counts(cloud, path[np.newaxis, :, :], t, path.shape[0] - 1)
+    counts = batch_tube_counts(cloud, path[np.newaxis, :, :], t)
     return int(counts[0])
 
 
@@ -243,3 +249,24 @@ def favourite_overlap_pathwise(ensemble, centers: np.ndarray) -> float:
     diff = ensemble.positions[:, :-1, :] - centers[np.newaxis, :, :]  # (M, n, d)
     inside = np.einsum("mkd,mkd->mk", diff, diff) <= r2
     return float(ensemble.normalized_weights @ inside.mean(axis=1))
+
+
+def nu_monotonicity(cfg: ExperimentConfig, nu_lo: float) -> dict[str, EstimateWithError]:
+    """Coupled estimate of p(beta, nu) - p(beta, nu_lo) and its bound slacks.
+
+    The nu tube counts are the nu_lo counts plus those of an independent
+    (nu - nu_lo)-cloud on the same window, with the same path batch, so the
+    monotone coupling bounds hold replicate by replicate in expectation.
+    Returns the ``difference``, its ``lower`` slack (difference minus
+    beta (nu - nu_lo)) and its ``upper`` slack (lambda (nu - nu_lo) minus
+    difference).
+    """
+    if not 0.0 < nu_lo <= cfg.nu:
+        raise InvalidParameterError(f"need 0 < nu_lo <= nu, got nu_lo={nu_lo}")
+    gap = cfg.nu - nu_lo
+    (diffs,), _ = _over_environments(
+        cfg, lambda ens_lo, ens_hi: ((ens_hi.log_z_hat - ens_lo.log_z_hat) / cfg.t,),
+        nus=(nu_lo,), extra_nu=gap)
+    return {"difference": _mean_se(diffs),
+            "lower": _mean_se(diffs - cfg.beta * gap),
+            "upper": _mean_se(math.expm1(cfg.beta) * gap - diffs)}

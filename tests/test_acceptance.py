@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import random_gibbs_ensemble
+from oracles import nu_monotonicity
 from poissonpolymer.analytics import (
     annealed_gap_integrand,
     annealed_rate,
@@ -28,7 +29,6 @@ from poissonpolymer.estimators import (
     annealed_free_energy,
     dp_dbeta,
     localization_scan,
-    nu_monotonicity,
     quenched_free_energy,
 )
 from poissonpolymer.geometry import unit_ball_radius

@@ -282,7 +282,7 @@ class TestSimulate:
             positions = sample_paths(grid, 1, 40, substream(9, "paths", i))
             box = SpaceTimeBox(1.0, *bounding_box_for(positions))
             cloud = sample_poisson(box, 1.0, substream(9, "cloud", i))
-            ess.append(build_ensemble(positions, grid, cloud, 0.5).ess)
+            ess.append(build_ensemble(positions, 1.0, cloud, 0.5).ess)
             points.append(cloud.n_points)
             volumes.append(box.volume)
         diag = row["diagnostics"]
@@ -341,6 +341,42 @@ class TestSimulate:
         with pytest.raises(ValueError, match="broadcast"):
             main(["simulate", str(write_config(tmp_path, MINIMAL)),
                   "--out", str(tmp_path / "o")])
+
+
+# Configs at the edge of a budget or a range, one row each: the config text
+# (a few environments and paths), the exit code and, for exit 2, the quoted
+# key stderr must name.  A refused config writes no output directory.
+BOUNDARY_CONFIGS = [
+    pytest.param("t = 1e308\nnu = 1\nmode = annealed\n", 2, "'t'",
+                 id="t-1e308-default-n_steps"),  # 64 t overflows
+    pytest.param("t = 1e308\nn_steps = 10\nnu = 1\nmode = annealed\n", 2, "'t'",
+                 id="t-1e308-annealed"),  # the window volume overflows
+    pytest.param("t = 1e308\nn_steps = 10\nnu = 0\nmode = annealed\n", 2, "'t'",
+                 id="t-1e308-nu-0-annealed"),  # 0 * inf expected points is NaN
+    pytest.param("t = 1e308\nn_steps = 10\nnu = 0\nmode = quenched\n", 2, "'t'",
+                 id="t-1e308-nu-0-quenched"),
+    pytest.param("d = 1000\nbin_width = 0.01\nnu = 0\nmode = annealed\n", 2, "'d'",
+                 id="d-1000-nu-0-annealed"),
+    pytest.param("d = 1000\nbin_width = 0.01\nn_steps = 4\nnu = 0\nmode = quenched\n", 2,
+                 "'d'", id="d-1000-nu-0-quenched"),
+    pytest.param("d = 200\nbin_width = 0.01\nnu = 0\nmode = annealed\n", 0, None,
+                 id="d-200-nu-0-annealed"),
+    pytest.param("nu = 1e-300\nmode = dp-dnu\n", 0, None, id="nu-1e-300-dp-dnu"),
+    pytest.param("beta = -350\nnu = 1\nmode = dp-dbeta\n", 0, None, id="beta-minus-350-dp-dbeta"),
+    pytest.param("beta = 350\nnu = 1\nmode = dp-dnu\n", 0, None, id="beta-350-dp-dnu"),
+]
+
+
+@pytest.mark.parametrize("text,code,key", BOUNDARY_CONFIGS)
+def test_boundary_config(tmp_path, capsys, text, code, key):
+    base = {"beta": "0.5", "t": "1", "paths_per_env": "20", "n_envs": "3", "seed": "4"}
+    given = {line.split(" = ")[0] for line in text.splitlines()}
+    config = "".join(f"{k} = {v}\n" for k, v in base.items() if k not in given) + text
+    out = tmp_path / "out"
+    assert main(["simulate", str(write_config(tmp_path, config)), "--out", str(out)]) == code
+    if code == 2:
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweep:

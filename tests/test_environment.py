@@ -252,12 +252,12 @@ class TestBatchTubeCounts:
         assert np.any(cloud.times > t)
         expected = self.brute_force(cloud, positions, t, n_steps)
         assert expected.sum() > 0
-        assert np.array_equal(batch_tube_counts(cloud, positions, t, n_steps), expected)
+        assert np.array_equal(batch_tube_counts(cloud, positions, t), expected)
 
     def test_empty_cloud(self):
         positions, box = self.paths_and_box(2, 4, 1.0, 8, 1.0, seed=55)
         empty = PointCloud(times=np.empty(0), coords=np.empty((0, 2)), box=box)
-        counts = batch_tube_counts(empty, positions, 1.0, 8)
+        counts = batch_tube_counts(empty, positions, 1.0)
         assert counts.dtype == np.int64 and np.array_equal(counts, np.zeros(4))
 
     def test_many_chunks(self, monkeypatch):
@@ -269,7 +269,7 @@ class TestBatchTubeCounts:
         cloud = sample_poisson(box, 8.0, substream(56, "cloud", 0))
         assert cloud.n_points > 3 * 6 and cloud.n_points % 6 != 0
         expected = self.brute_force(cloud, positions, t, n_steps)
-        assert np.array_equal(batch_tube_counts(cloud, positions, t, n_steps), expected)
+        assert np.array_equal(batch_tube_counts(cloud, positions, t), expected)
 
 
 class TestPalmPoint:

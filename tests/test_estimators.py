@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import poissonpolymer.estimators as estimators
-from oracles import count_in_tube
+from oracles import count_in_tube, nu_monotonicity
 from poissonpolymer.analytics import _log_tilt, _tilt, annealed_rate
 from poissonpolymer.environment import PointCloud, SpaceTimeBox, batch_tube_counts, sample_poisson
 from poissonpolymer.errors import InvalidParameterError
@@ -16,7 +16,6 @@ from poissonpolymer.estimators import (
     dp_dbeta,
     dp_dnu,
     localization_scan,
-    nu_monotonicity,
     quenched_free_energy,
 )
 from poissonpolymer.geometry import unit_ball_radius
@@ -241,15 +240,15 @@ class TestCoupledEnsemble:
             extra_nu=extra_nu)
         for i in range(c.n_envs):
             positions = sample_paths(c.grid, d, c.n_paths, substream(c.seed, "paths", i))
-            lo, hi = bounding_box_for(positions, WINDOW_MARGIN)
+            lo, hi = bounding_box_for(positions)
             box = SpaceTimeBox(t_max=c.t, lo=lo, hi=hi)
             low = sample_poisson(box, 0.8, substream(c.seed, "cloud", i))
             extra = sample_poisson(box, extra_nu, substream(c.seed, "cloud-extra", i))
             both = PointCloud(times=np.concatenate([low.times, extra.times]),
                               coords=np.concatenate([low.coords, extra.coords]), box=box)
             assert (extra.n_points > 0) == (extra_nu > 0)
-            assert np.array_equal(lows[i], batch_tube_counts(low, positions, c.t, c.n_steps))
-            assert np.array_equal(highs[i], batch_tube_counts(both, positions, c.t, c.n_steps))
+            assert np.array_equal(lows[i], batch_tube_counts(low, positions, c.t))
+            assert np.array_equal(highs[i], batch_tube_counts(both, positions, c.t))
         assert (highs > lows).any() == (extra_nu > 0)
 
 

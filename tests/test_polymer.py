@@ -28,7 +28,6 @@ from poissonpolymer.geometry import unit_ball_radius
 from poissonpolymer.polymer import (
     GibbsEnsemble,
     TimeGrid,
-    bounding_box_for,
     build_ensemble,
     field_report,
     path_extent,
@@ -41,12 +40,11 @@ R1 = unit_ball_radius(1)
 
 def constant_path_ensemble(xs, beta=0.0, t=2.0, n_steps=8, pad=1.0):
     """Ensemble of constant d=1 paths at the given positions, empty cloud."""
-    grid = TimeGrid(t, n_steps)
     positions = np.repeat(np.asarray(xs, dtype=float)[:, np.newaxis, np.newaxis],
                           n_steps + 1, axis=1)
     box = SpaceTimeBox(t_max=t, lo=(min(xs) - pad,), hi=(max(xs) + pad,))
     cloud = PointCloud(times=np.empty(0), coords=np.empty((0, 1)), box=box)
-    return build_ensemble(positions, grid, cloud, beta)
+    return build_ensemble(positions, t, cloud, beta)
 
 
 def tight_ensemble(d, n_paths, seed=0, t=1.0, n_steps=8):
@@ -54,10 +52,11 @@ def tight_ensemble(d, n_paths, seed=0, t=1.0, n_steps=8):
     balls reach the edge bins."""
     grid = TimeGrid(t, n_steps)
     positions = sample_paths(grid, d, n_paths, substream(seed, "paths", 0))
-    lo, hi = bounding_box_for(positions, margin=0.0)
-    box = SpaceTimeBox(t_max=t, lo=lo, hi=hi)
+    pmin, pmax = path_extent(positions)
+    r = unit_ball_radius(d)
+    box = SpaceTimeBox(t_max=t, lo=tuple(pmin - r), hi=tuple(pmax + r))
     cloud = sample_poisson(box, 2.0, substream(seed, "cloud", 0))
-    return build_ensemble(positions, grid, cloud, beta=0.8)
+    return build_ensemble(positions, t, cloud, beta=0.8)
 
 
 def edge_ensemble(d, h, rng, n_steps=6, n_paths=9):
@@ -77,8 +76,7 @@ def edge_ensemble(d, h, rng, n_steps=6, n_paths=9):
     ulp = rng.integers(-1, 2, size=x.shape)
     x = np.where(ulp == 0, x, np.nextafter(x, np.where(ulp > 0, np.inf, -np.inf)))
     box = SpaceTimeBox(t_max=1.0, lo=tuple(lo), hi=tuple(hi))
-    return GibbsEnsemble(np.clip(x, lo, hi), TimeGrid(1.0, n_steps),
-                         rng.integers(0, 4, n_paths), 0.7, box)
+    return GibbsEnsemble(np.clip(x, lo, hi), rng.integers(0, 4, n_paths), 0.7, box)
 
 
 def run_end_ensemble(d, h, rng, n_steps=6, n_paths=10):
@@ -108,7 +106,7 @@ def run_end_ensemble(d, h, rng, n_steps=6, n_paths=10):
     ulp = rng.integers(-1, 2, size=end.shape)
     x[..., -1] = np.where(ulp == 0, end, np.nextafter(end, np.where(ulp > 0, np.inf, -np.inf)))
     box = SpaceTimeBox(t_max=1.0, lo=tuple(lo), hi=tuple(lo + shape * h))
-    ens = GibbsEnsemble(x, TimeGrid(1.0, n_steps), rng.integers(0, 4, n_paths), 0.7, box)
+    ens = GibbsEnsemble(x, rng.integers(0, 4, n_paths), 0.7, box)
     return ens, int(np.sum(rows == r * r))
 
 
@@ -127,7 +125,7 @@ def right_end_ensemble(h, rng, n_steps=6, n_paths=10):
     near = [np.nextafter(down, -np.inf), down, x0, up, np.nextafter(up, np.inf)]
     x = np.select([(v - c) ** 2 <= r * r for v in near], near, x0)
     box = SpaceTimeBox(t_max=1.0, lo=(lo,), hi=(lo + n_bins * h,))
-    return GibbsEnsemble(x, TimeGrid(1.0, n_steps), rng.integers(0, 4, n_paths), 0.7, box)
+    return GibbsEnsemble(x, rng.integers(0, 4, n_paths), 0.7, box)
 
 
 def assert_matches_dense(ens, h):
@@ -205,11 +203,10 @@ class TestGibbsEnsemble:
         assert ens.log_z_hat == pytest.approx(0.0, abs=1e-14)
 
     def test_single_path(self):
-        grid = TimeGrid(1.0, 4)
         box = SpaceTimeBox(t_max=1.0, lo=(-1.0,), hi=(1.0,))
         cloud = PointCloud(times=np.array([0.5, 0.7]),
                            coords=np.array([[0.1], [0.3]]), box=box)
-        ens = build_ensemble(np.zeros((1, 5, 1)), grid, cloud, beta=0.7)
+        ens = build_ensemble(np.zeros((1, 5, 1)), 1.0, cloud, beta=0.7)
         assert ens.hamiltonians[0] == 2
         assert ens.normalized_weights[0] == 1.0
         assert ens.log_z_hat == pytest.approx(0.7 * 2, abs=1e-14)
@@ -229,16 +226,15 @@ class TestGibbsEnsemble:
         cases += [rng.integers(0, 3, 200), np.full(50, 4), np.array([7])]  # ties, M = 1
         box = SpaceTimeBox(t_max=1.0, lo=(-1.0,), hi=(1.0,))
         for hams in cases:
-            ens = GibbsEnsemble(np.zeros((len(hams), 2, 1)), TimeGrid(1.0, 1), hams, 0.0, box)
+            ens = GibbsEnsemble(np.zeros((len(hams), 2, 1)), hams, 0.0, box)
             expected = float(logsumexp(beta * hams.astype(float)) - np.log(len(hams)))
             assert ens.log_z_at(beta) == expected
 
     def test_window_violation_fails_loudly(self):
-        grid = TimeGrid(1.0, 4)
         tight = SpaceTimeBox(t_max=1.0, lo=(-0.3,), hi=(0.3,))
         cloud = PointCloud(times=np.empty(0), coords=np.empty((0, 1)), box=tight)
         with pytest.raises(WindowCoverageError):
-            build_ensemble(np.zeros((1, 5, 1)), grid, cloud, beta=0.0)
+            build_ensemble(np.zeros((1, 5, 1)), 1.0, cloud, beta=0.0)
 
 
 class TestOccupancyField:
@@ -246,7 +242,7 @@ class TestOccupancyField:
         ens = constant_path_ensemble([0.0], beta=1.3)
         fld = occupancy_field(ens, h=R1 / 4.0)
         covered = np.abs(fld.centers[:, 0]) <= R1
-        for k in range(ens.grid.n_steps):
+        for k in range(ens.n_steps):
             assert np.array_equal(fld.values[k] == 1.0, covered)
             assert np.all(fld.values[k][~covered] == 0.0)
 
@@ -335,7 +331,7 @@ class TestOccupancyField:
         # them alike
         ens, fld = random_ensemble(seed=seed, d=d, t=1.0, n_paths=n_paths)
         r2 = unit_ball_radius(d) ** 2
-        for k in range(ens.grid.n_steps):
+        for k in range(ens.n_steps):
             diff = ens.positions[:, k, :, np.newaxis] - fld.centers.T[np.newaxis]
             inside = np.einsum("mdb,mdb->mb", diff, diff) <= r2
             members = np.ascontiguousarray(np.packbits(inside, axis=0).T)
@@ -362,7 +358,7 @@ class TestFavouritePath:
 
     def test_far_maximizers_give_zero(self):
         ens = constant_path_ensemble([0.0], pad=9.0)
-        far = np.full((ens.grid.n_steps, 1), 8.0)
+        far = np.full((ens.n_steps, 1), 8.0)
         assert favourite_overlap_pathwise(ens, far) == 0.0
 
     def test_matches_field_maxima(self):
@@ -503,7 +499,7 @@ class TestPalmIdentity:
         cloud = sample_poisson(box, 1.5, substream(77, "cloud", 0))
         beta = 0.8
         lam = math.expm1(beta)
-        ens = build_ensemble(positions, grid, cloud, beta)
+        ens = build_ensemble(positions, grid.t, cloud, beta)
         rng = np.random.default_rng(5)
         for _ in range(10):
             s = rng.uniform(1e-6, 2.0)
@@ -511,7 +507,7 @@ class TestPalmIdentity:
             k = slab_indices(np.array([s]), 2.0, 16)[0]
             chi = (np.abs(positions[:, k, 0] - x) <= R1).astype(float)
             m = float(ens.normalized_weights @ chi)
-            palm_ens = build_ensemble(positions, grid, add_palm_point(cloud, s, [x]), beta)
+            palm_ens = build_ensemble(positions, grid.t, add_palm_point(cloud, s, [x]), beta)
             occupancy_after = float(palm_ens.normalized_weights @ chi)
             expected = math.exp(beta) * m / (1.0 + lam * m)
             assert occupancy_after == pytest.approx(expected, abs=1e-12)
