@@ -41,7 +41,6 @@ from .estimators import (
 from .geometry import unit_ball_radius
 from .polymer import (
     GibbsEnsemble,
-    TimeGrid,
     TwoToOneReport,
     build_ensemble,
     field_report,

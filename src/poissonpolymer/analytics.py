@@ -22,12 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    HypothesisError,
-    InvalidParameterError,
-    InvalidQueryError,
-    NumericError,
-)
+from .errors import HypothesisError, InvalidParameterError, NumericError
 from .geometry import unit_ball_radius
 
 __all__ = [
@@ -259,7 +254,7 @@ def classify_phase(beta: float, nu: float, crit: CriticalPoint,
     if beta == 0.0:
         return PhaseLabel.D
     if (crit.sign == "plus") != (beta > 0):
-        raise InvalidQueryError(
+        raise InvalidParameterError(
             f"query beta={beta} does not match the {crit.sign} branch")
     if alpha <= 0:
         raise InvalidParameterError(f"alpha must be positive, got {alpha}")

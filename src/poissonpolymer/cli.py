@@ -49,8 +49,7 @@ from .analytics import (
     drift_gap_integrand,
     in_l2_region,
 )
-from .errors import (ConfigError, HypothesisError, InvalidParameterError,
-                     InvalidQueryError, InvariantViolationError)
+from .errors import InvalidParameterError, InvariantViolationError
 from .estimators import (
     BETA_LIMIT,
     ExperimentConfig,
@@ -93,12 +92,12 @@ def parse_config_text(text: str) -> dict[str, str]:
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
+            raise InvalidParameterError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key not in CONFIG_KEYS:
-            raise ConfigError(f"unknown config key '{key}'")
+            raise InvalidParameterError(f"unknown config key '{key}'")
         if key in raw:
-            raise ConfigError(f"duplicate config key '{key}'")
+            raise InvalidParameterError(f"duplicate config key '{key}'")
         raw[key] = value
     return raw
 
@@ -107,13 +106,13 @@ def _parse_number(raw: dict, key: str, cast):
     try:
         return cast(raw[key])
     except ValueError as exc:
-        raise ConfigError(f"invalid value for key '{key}': {raw[key]!r}") from exc
+        raise InvalidParameterError(f"invalid value for key '{key}': {raw[key]!r}") from exc
 
 
 def _parse_list(raw: dict, key: str) -> list[float]:
     values = _parse_number(raw, key, lambda text: [float(v) for v in text.split(",") if v.strip()])
     if not values:
-        raise ConfigError(f"empty grid for key '{key}'")
+        raise InvalidParameterError(f"empty grid for key '{key}'")
     return values
 
 
@@ -122,16 +121,17 @@ def build_run_plan(raw: dict, sweep: bool,
     """``(mode, cells)``, beta-major, then nu, then t; path stacks checked before any runs."""
     mode = raw.get("mode", "quenched")
     if mode not in MODES:
-        raise ConfigError(f"invalid value for key 'mode': {mode!r} (choose from {MODES})")
+        raise InvalidParameterError(
+            f"invalid value for key 'mode': {mode!r} (choose from {MODES})")
     grids = {k: _parse_list(raw, f"grid.{k}") for k in ("beta", "nu", "t") if f"grid.{k}" in raw}
     if grids and not sweep:
-        raise ConfigError("grid.* keys are only valid for the sweep command")
+        raise InvalidParameterError("grid.* keys are only valid for the sweep command")
     base = {"d": 1, "t": 4.0}  # the format's own defaults; the rest are ExperimentConfig's
     for key, (name, cast) in NUMBER_KEYS.items():
         if key in raw:
             base[name] = _parse_number(raw, key, cast)
         elif key in ("beta", "nu") and key not in grids:
-            raise ConfigError(f"missing required config key '{key}'")
+            raise InvalidParameterError(f"missing required config key '{key}'")
     if seed_override is not None:
         base["seed"] = seed_override
     axes = [grids.get(key) or [base[key]] for key in ("beta", "nu", "t")]
@@ -169,7 +169,7 @@ def _write_outputs(out_dir: Path, rows: list[dict], config_text: str, mode: str,
     out_dir.mkdir(parents=True, exist_ok=True)
     config_sha = hashlib.sha256(config_text.encode()).hexdigest()
 
-    # d, n_steps, M and K are integers far below 2^53, which _fmt prints exactly
+    # d, n_steps (at most 2^53), M and K are integers; _fmt prints them exactly up to 2^53
     csv_lines = [CSV_HEADER, *(_row(r[key] for key in CSV_HEADER.split(",")) for r in rows)]
     (out_dir / "results.csv").write_text("\n".join(csv_lines) + "\n")
 
@@ -196,11 +196,11 @@ def _write_outputs(out_dir: Path, rows: list[dict], config_text: str, mode: str,
 def _load_config_text(args) -> str:
     path = args.from_manifest or args.config
     if path is None:
-        raise ConfigError("either a config file or --from-manifest is required")
+        raise InvalidParameterError("either a config file or --from-manifest is required")
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path} is not UTF-8 text") from exc
+        raise InvalidParameterError(f"{path} is not UTF-8 text") from exc
     if not args.from_manifest:
         return text
     try:
@@ -208,8 +208,8 @@ def _load_config_text(args) -> str:
     except json.JSONDecodeError:
         manifest = None
     if not isinstance(manifest, dict) or not isinstance(manifest.get("config_text"), str):
-        raise ConfigError(f"manifest {path} is not a JSON object "
-                          "with a string key 'config_text'")
+        raise InvalidParameterError(f"manifest {path} is not a JSON object "
+                                    "with a string key 'config_text'")
     return manifest["config_text"]
 
 
@@ -374,8 +374,7 @@ def main(argv=None) -> int:
         if args.command == "analytic":
             return _cmd_analytic(args)
         return _cmd_experiment(args, sweep=args.command == "sweep")
-    except (InvariantViolationError, ConfigError, InvalidParameterError, HypothesisError,
-            InvalidQueryError, OSError) as exc:
+    except (InvariantViolationError, InvalidParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, InvariantViolationError) else 2
 

@@ -63,8 +63,9 @@ class SpaceTimeBox:
             raise InvalidParameterError("lo and hi must have the same dimension")
         if any(h <= l for l, h in zip(lo, hi)):
             raise InvalidParameterError("box must satisfy hi > lo componentwise")
-        object.__setattr__(self, "volume",
-                           self.t_max * float(np.prod(np.asarray(hi) - np.asarray(lo))))
+        with np.errstate(over="ignore"):  # an infinite volume fails the point budget
+            volume = self.t_max * float(np.prod(np.asarray(hi) - np.asarray(lo)))
+        object.__setattr__(self, "volume", volume)
 
     @property
     def d(self) -> int:

@@ -2,7 +2,8 @@
 
 
 class InvalidParameterError(ValueError):
-    """A scalar argument violates its precondition (dimension, intensity, ...)."""
+    """Refused input: a count that is not an integer, or a bad scalar, config line
+    or phase query.  The CLI exits 2 on it and on its subclass ``HypothesisError``."""
 
 
 class WindowCoverageError(RuntimeError):
@@ -12,7 +13,7 @@ class WindowCoverageError(RuntimeError):
     """
 
 
-class HypothesisError(ValueError):
+class HypothesisError(InvalidParameterError):
     """A closed-form bound was queried outside its hypothesis region.
 
     ``condition`` names the failed hypothesis.
@@ -21,10 +22,6 @@ class HypothesisError(ValueError):
     def __init__(self, condition: str, message: str = ""):
         self.condition = condition
         super().__init__(message or f"hypothesis violated: {condition}")
-
-
-class InvalidQueryError(ValueError):
-    """A phase query is inconsistent with the supplied critical point."""
 
 
 class NumericError(RuntimeError):
@@ -45,7 +42,3 @@ class InvariantViolationError(RuntimeError):
         if seed is not None:
             message += f" [seed={seed}, replicate={replicate}]"
         super().__init__(message)
-
-
-class ConfigError(ValueError):
-    """A run configuration is malformed (unknown key, bad value, ...)."""

@@ -40,7 +40,7 @@ from .geometry import unit_ball_radius
 from .polymer import (
     MAX_PATH_ELEMENTS,
     GibbsEnsemble,
-    TimeGrid,
+    _integer,
     bounding_box_for,
     build_ensemble,
     field_report,
@@ -92,9 +92,10 @@ class ExperimentConfig:
     ``n_paths`` paths per environment, ``n_envs`` independent environments
     (at most 10^8: the annealed counts take 8 bytes each); ``bin_width``
     defaults to r_d / 4 and is at most 2 r_d / sqrt(d).
-    Desk-scale defaults target d = 1, t <= 8 with n_steps = 64 t.  ``|beta|``
-    is at most ``BETA_LIMIT``.  An invalid value raises
-    ``InvalidParameterError`` naming its key.
+    Desk-scale defaults target d = 1, t <= 8 with n_steps = 64 t.  The
+    counts d, n_steps (at most 2^53), n_paths, n_envs and seed are integers,
+    not bools.  ``|beta|`` is at most ``BETA_LIMIT``.  An invalid value
+    raises ``InvalidParameterError`` naming its key.
     """
 
     d: int
@@ -116,26 +117,25 @@ class ExperimentConfig:
         for key in ("beta", "nu", "t", "bin_width", "delta"):
             value = getattr(self, key)
             require(key, value is None or math.isfinite(value))
-        require("d", self.d >= 1 and int(self.d) == self.d)  # the bin_width default needs it
-        require("t", self.t > 0)  # the n_steps default 64 t needs it, and 64 t finite
+        require("d", _integer(self.d) and self.d >= 1)  # the bin_width default needs it
+        require("t", self.t > 0)  # the n_steps default 64 t needs it
         if self.n_steps is None:
-            require("t", math.isfinite(64 * self.t))
+            require("t", 64 * self.t <= 2 ** 53)
             object.__setattr__(self, "n_steps", max(1, round(64 * self.t)))
         if self.bin_width is None:
             object.__setattr__(self, "bin_width", unit_ball_radius(self.d) / 4.0)
         require("beta", abs(self.beta) <= BETA_LIMIT)
         require("nu", self.nu >= 0)
-        require("n_steps", self.n_steps >= 1)
-        require("paths_per_env", self.n_paths >= 1)
-        require("n_envs", 1 <= self.n_envs <= 10 ** 8)
+        require("n_steps", _integer(self.n_steps) and 1 <= self.n_steps <= 2 ** 53)
+        require("paths_per_env", _integer(self.n_paths) and self.n_paths >= 1)
+        require("n_envs", _integer(self.n_envs) and 1 <= self.n_envs <= 10 ** 8)
         # in wider bins a ball of radius r_d can miss every bin center
         require("bin_width",
                 0 < self.bin_width <= 2 * unit_ball_radius(self.d) / math.sqrt(self.d))
         require("delta", 0.0 < self.delta <= 0.5)
-
-    @property
-    def grid(self) -> TimeGrid:
-        return TimeGrid(self.t, self.n_steps)
+        require("seed", _integer(self.seed))
+        for key in ("d", "n_steps", "n_paths", "n_envs", "seed"):  # numpy integers too
+            object.__setattr__(self, key, int(getattr(self, key)))
 
     def check_path_budget(self):
         """Refuse a path stack above ``polymer.MAX_PATH_ELEMENTS`` doubles."""
@@ -172,7 +172,7 @@ def _over_environments(cfg: ExperimentConfig, reduce, nus=None, extra_nu=None,
     rows, stats = [], []
     min_slack = math.inf
     for i in range(cfg.n_envs):
-        positions = sample_paths(cfg.grid, cfg.d, cfg.n_paths,
+        positions = sample_paths(cfg.t, cfg.n_steps, cfg.d, cfg.n_paths,
                                  substream(cfg.seed, "paths", i))
         extent = path_extent(positions)
         box = SpaceTimeBox(cfg.t, *bounding_box_for(positions, extent))

@@ -36,6 +36,7 @@ and no tie rule between equal maxima, is needed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,6 @@ from .errors import InvalidParameterError, InvariantViolationError, WindowCovera
 from .geometry import unit_ball_radius
 
 __all__ = [
-    "TimeGrid",
     "GibbsEnsemble",
     "TwoToOneReport",
     "sample_paths",
@@ -64,41 +64,29 @@ MAX_PATH_ELEMENTS = 10 ** 8
 MAX_FIELD_BINS = 10 ** 8
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform grid on [0, t]: times k * dt for k = 0..n_steps."""
-
-    t: float
-    n_steps: int
-
-    def __post_init__(self):
-        if self.t <= 0:
-            raise InvalidParameterError(f"horizon must be positive, got {self.t}")
-        if self.n_steps < 1 or int(self.n_steps) != self.n_steps:
-            raise InvalidParameterError(f"n_steps must be a positive integer, got {self.n_steps}")
-
-    @property
-    def dt(self) -> float:
-        return self.t / self.n_steps
+def _integer(value) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def sample_paths(grid: TimeGrid, d: int, n_paths: int,
+def sample_paths(t: float, n_steps: int, d: int, n_paths: int,
                  rng: np.random.Generator) -> np.ndarray:
-    """Independent Gaussian walks with step covariance dt * I, from the origin.
+    """Independent Gaussian walks from the origin, with step covariance (t / n_steps) I.
 
     Returns the path stack, shape (n_paths, n_steps + 1, d), into which the
     increments are drawn and summed in blocks of about ``_CHUNK_ELEMENTS``.
     """
-    if n_paths < 1:
-        raise InvalidParameterError(f"path count must be positive, got {n_paths}")
-    if d < 1 or int(d) != d:
-        raise InvalidParameterError(f"dimension must be a positive integer, got {d}")
-    positions = np.empty((n_paths, grid.n_steps + 1, d))
+    if not 0 < t < math.inf:
+        raise InvalidParameterError(f"horizon must be positive and finite, got {t}")
+    for name, count in (("n_steps", n_steps), ("dimension", d), ("path count", n_paths)):
+        if not (_integer(count) and count >= 1):
+            raise InvalidParameterError(f"{name} must be a positive integer, got {count}")
+    positions = np.empty((n_paths, n_steps + 1, d))
     positions[:, 0, :] = 0.0
-    block = max(1, _CHUNK_ELEMENTS // (grid.n_steps * d))
+    block = max(1, _CHUNK_ELEMENTS // (n_steps * d))
     for start in range(0, n_paths, block):
         rows = positions[start:start + block, 1:, :]
-        np.cumsum(rng.normal(0.0, np.sqrt(grid.dt), size=rows.shape), axis=1, out=rows)
+        np.cumsum(rng.normal(0.0, np.sqrt(t / n_steps), size=rows.shape), axis=1, out=rows)
     return positions
 
 

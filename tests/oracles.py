@@ -178,12 +178,13 @@ def occupancy_field_candidates(ensemble, h: float,
     return values
 
 
-def sample_paths_single_draw(grid, d: int, n_paths: int, rng) -> np.ndarray:
+def sample_paths_single_draw(t: float, n_steps: int, d: int, n_paths: int,
+                             rng) -> np.ndarray:
     """Path stack (n_paths, n_steps + 1, d) from one ``normal`` draw of every
     increment, summed along time next to it: the route ``sample_paths`` took
     before it drew the increments into the stack a block of paths at a time."""
-    steps = rng.normal(0.0, np.sqrt(grid.dt), size=(n_paths, grid.n_steps, d))
-    positions = np.zeros((n_paths, grid.n_steps + 1, d))
+    steps = rng.normal(0.0, np.sqrt(t / n_steps), size=(n_paths, n_steps, d))
+    positions = np.zeros((n_paths, n_steps + 1, d))
     np.cumsum(steps, axis=1, out=positions[:, 1:, :])
     return positions
 

@@ -24,7 +24,6 @@ from poissonpolymer.analytics import (
 from poissonpolymer.errors import (
     HypothesisError,
     InvalidParameterError,
-    InvalidQueryError,
 )
 
 mp.mp.dps = 40
@@ -331,9 +330,9 @@ class TestClassifyPhase:
         assert classify_phase(crit.beta0, 2.0 * crit.nu0, crit, alpha=a0) == PhaseLabel.L
 
     def test_sign_mismatch(self):
-        with pytest.raises(InvalidQueryError):
+        with pytest.raises(InvalidParameterError, match="branch"):
             classify_phase(-0.5, 1.0, plus_point(), alpha=1.0)
-        with pytest.raises(InvalidQueryError):
+        with pytest.raises(InvalidParameterError, match="branch"):
             classify_phase(0.5, 1.0, minus_point(), alpha=5.0)
 
     def test_strict_alpha_hypothesis(self):

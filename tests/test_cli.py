@@ -13,9 +13,9 @@ import poissonpolymer.cli as cli
 from poissonpolymer.analytics import bessel_zero
 from poissonpolymer.cli import build_run_plan, main, parse_config_text
 from poissonpolymer.environment import SpaceTimeBox, sample_poisson
-from poissonpolymer.errors import ConfigError, InvariantViolationError
+from poissonpolymer.errors import InvalidParameterError, InvariantViolationError
 from poissonpolymer.estimators import EstimateWithError, ExperimentConfig
-from poissonpolymer.polymer import TimeGrid, bounding_box_for, build_ensemble, sample_paths
+from poissonpolymer.polymer import bounding_box_for, build_ensemble, sample_paths
 from poissonpolymer.streams import substream
 
 MINIMAL = """\
@@ -56,29 +56,29 @@ class TestConfigParsing:
         assert raw["paths_per_env"] == "40"
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config key 'betta'"):
+        with pytest.raises(InvalidParameterError, match="unknown config key 'betta'"):
             parse_config_text("betta = 1\n")
 
     def test_duplicate_key_rejected(self):
-        with pytest.raises(ConfigError, match="duplicate"):
+        with pytest.raises(InvalidParameterError, match="duplicate"):
             parse_config_text("beta = 1\nbeta = 2\n")
 
     def test_malformed_line(self):
-        with pytest.raises(ConfigError, match="line 1"):
+        with pytest.raises(InvalidParameterError, match="line 1"):
             parse_config_text("beta 1\n")
 
     def test_bad_mode(self):
         raw = parse_config_text("beta = 0\nnu = 1\nmode = warp\n")
-        with pytest.raises(ConfigError, match="mode"):
+        with pytest.raises(InvalidParameterError, match="mode"):
             build_run_plan(raw, sweep=False)
 
     def test_grid_keys_need_sweep(self):
         raw = parse_config_text("beta = 0\nnu = 1\ngrid.beta = 0,1\n")
-        with pytest.raises(ConfigError, match="sweep"):
+        with pytest.raises(InvalidParameterError, match="sweep"):
             build_run_plan(raw, sweep=False)
 
     def test_missing_required_key(self):
-        with pytest.raises(ConfigError, match="beta"):
+        with pytest.raises(InvalidParameterError, match="beta"):
             build_run_plan(parse_config_text("nu = 1\n"), sweep=False)
 
     def test_invalid_value_names_key(self):
@@ -277,9 +277,9 @@ class TestSimulate:
         assert main(["simulate", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
         [row] = load_results_json(out)
         # replay the four replicates of MINIMAL (seed 9) by hand
-        grid, ess, points, volumes = TimeGrid(1.0, 64), [], [], []
+        ess, points, volumes = [], [], []
         for i in range(4):
-            positions = sample_paths(grid, 1, 40, substream(9, "paths", i))
+            positions = sample_paths(1.0, 64, 1, 40, substream(9, "paths", i))
             box = SpaceTimeBox(1.0, *bounding_box_for(positions))
             cloud = sample_poisson(box, 1.0, substream(9, "cloud", i))
             ess.append(build_ensemble(positions, 1.0, cloud, 0.5).ess)
@@ -364,9 +364,15 @@ BOUNDARY_CONFIGS = [
     pytest.param("nu = 1e-300\nmode = dp-dnu\n", 0, None, id="nu-1e-300-dp-dnu"),
     pytest.param("beta = -350\nnu = 1\nmode = dp-dbeta\n", 0, None, id="beta-minus-350-dp-dbeta"),
     pytest.param("beta = 350\nnu = 1\nmode = dp-dnu\n", 0, None, id="beta-350-dp-dnu"),
+    pytest.param("t = 1e306\nnu = 0\nmode = annealed\n", 2, "'t'",
+                 id="t-1e306-default-n_steps-annealed"),  # 64 t is above 2^53
+    pytest.param("n_steps = 10000000000000000\nnu = 0\nmode = annealed\n", 2, "'n_steps'",
+                 id="n_steps-1e16-annealed"),
+    pytest.param("t = 1e6\nnu = 0.1\nmode = annealed\n", 0, None, id="t-1e6-annealed"),
 ]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("text,code,key", BOUNDARY_CONFIGS)
 def test_boundary_config(tmp_path, capsys, text, code, key):
     base = {"beta": "0.5", "t": "1", "paths_per_env": "20", "n_envs": "3", "seed": "4"}
@@ -543,6 +549,12 @@ class TestAnalytic:
                      "--nu0", "1", "--alpha", "1.9", "--nu", "10"])
         assert code == 2
         assert "alpha" in capsys.readouterr().err
+
+    def test_branch_mismatch_exit_2(self, capsys):
+        code = main(["analytic", "classify", "--branch", "plus", "--beta0", "0.8",
+                     "--nu0", "1", "--alpha", "1", "--beta=-0.5", "--nu", "1"])
+        assert code == 2
+        assert "does not match the plus branch" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,flag", [
         (["lambda", "--beta", "1000"], "--beta"),

@@ -17,7 +17,7 @@ from poissonpolymer.environment import (
 )
 from poissonpolymer.errors import InvalidParameterError
 from poissonpolymer.geometry import unit_ball_radius
-from poissonpolymer.polymer import TimeGrid, bounding_box_for, sample_paths
+from poissonpolymer.polymer import bounding_box_for, sample_paths
 from poissonpolymer.streams import substream
 
 BOX1 = SpaceTimeBox(t_max=2.0, lo=(-1.5,), hi=(1.5,))
@@ -210,8 +210,7 @@ class TestCountInTube:
         # fixed path with covering box: tube volume is exactly t, so the
         # count is Poisson(nu * t) -- check mean and variance over 1e4 draws
         t, nu, n_rep = 2.0, 1.5, 10_000
-        grid = TimeGrid(t, 16)
-        path = sample_paths(grid, 1, 1, substream(21, "paths", 0))[0]
+        path = sample_paths(t, 16, 1, 1, substream(21, "paths", 0))[0]
         r = unit_ball_radius(1)
         lo = (path.min() - r - 0.5,)
         hi = (path.max() + r + 0.5,)
@@ -238,8 +237,7 @@ class TestBatchTubeCounts:
 
     @staticmethod
     def paths_and_box(d, n_paths, t, n_steps, t_max, seed):
-        positions = sample_paths(TimeGrid(t, n_steps), d, n_paths,
-                                 substream(seed, "paths", 0))
+        positions = sample_paths(t, n_steps, d, n_paths, substream(seed, "paths", 0))
         lo, hi = bounding_box_for(positions)
         return positions, SpaceTimeBox(t_max=t_max, lo=lo, hi=hi)
 
@@ -279,9 +277,8 @@ class TestPalmPoint:
         assert one.n_points == 1 and one.box == empty.box
 
     def test_count_increment_is_indicator(self):
-        grid = TimeGrid(2.0, 8)
         rng = substream(31, "paths", 0)
-        path = sample_paths(grid, 1, 1, rng)[0]
+        path = sample_paths(2.0, 8, 1, 1, rng)[0]
         box = SpaceTimeBox(t_max=2.0, lo=(path.min() - 1.0,), hi=(path.max() + 1.0,))
         cloud = sample_poisson(box, 2.0, substream(31, "cloud", 0))
         base = count_in_tube(cloud, path, 2.0)

@@ -46,6 +46,24 @@ class TestConfig:
         with pytest.raises(InvalidParameterError, match="delta"):
             ExperimentConfig(d=1, beta=0.0, nu=1.0, t=1.0, delta=0.7)
 
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"d": 1.0}, "d"), ({"d": True}, "d"), ({"n_steps": 8.0}, "n_steps"),
+        ({"n_steps": 2 ** 53 + 1}, "n_steps"), ({"n_paths": 20.5}, "paths_per_env"),
+        ({"n_envs": 2.5}, "n_envs"), ({"seed": 1.5}, "seed"),
+        ({"n_steps": None, "t": 1e306}, "t"),  # the default 64 t is above 2^53
+    ])
+    def test_count_must_be_an_integer_at_most_2_53(self, kwargs, name):
+        with pytest.raises(InvalidParameterError, match=f"'{name}'"):
+            cfg(**kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        c = cfg(d=np.int64(1), n_steps=np.int32(8), n_paths=np.int64(20),
+                n_envs=np.uint8(2), seed=np.int64(3))
+        assert all(type(getattr(c, key)) is int  # the stream mixing needs Python ints
+                   for key in ("d", "n_steps", "n_paths", "n_envs", "seed"))
+        assert quenched_free_energy(c) == quenched_free_energy(
+            cfg(d=1, n_steps=8, n_paths=20, n_envs=2, seed=3))
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_bin_width_at_most_cell_diagonal_bound(self, d):
         # a cell whose half-diagonal h sqrt(d) / 2 exceeds r_d can hold a
@@ -239,7 +257,8 @@ class TestCoupledEnsemble:
             c, lambda lo, hi: (lo.hamiltonians, hi.hamiltonians), nus=(0.8,),
             extra_nu=extra_nu)
         for i in range(c.n_envs):
-            positions = sample_paths(c.grid, d, c.n_paths, substream(c.seed, "paths", i))
+            positions = sample_paths(c.t, c.n_steps, d, c.n_paths,
+                                     substream(c.seed, "paths", i))
             lo, hi = bounding_box_for(positions)
             box = SpaceTimeBox(t_max=c.t, lo=lo, hi=hi)
             low = sample_poisson(box, 0.8, substream(c.seed, "cloud", i))
@@ -321,7 +340,8 @@ class TestLocalizationScan:
         # the streamed report holds one block of slabs and chunk scratch next
         # to the 0.4 MB path stack
         c = cfg(d=2, t=2.0, n_steps=256, n_paths=100, n_envs=1)
-        positions = sample_paths(c.grid, c.d, c.n_paths, substream(c.seed, "paths", 0))
+        positions = sample_paths(c.t, c.n_steps, c.d, c.n_paths,
+                                 substream(c.seed, "paths", 0))
         lo, hi = bounding_box_for(positions)
         field = c.n_steps * np.prod(np.ceil((np.array(hi) - lo) / c.bin_width)) * 8
         positions = None

@@ -27,7 +27,6 @@ from poissonpolymer.errors import (
 from poissonpolymer.geometry import unit_ball_radius
 from poissonpolymer.polymer import (
     GibbsEnsemble,
-    TimeGrid,
     build_ensemble,
     field_report,
     path_extent,
@@ -50,8 +49,7 @@ def constant_path_ensemble(xs, beta=0.0, t=2.0, n_steps=8, pad=1.0):
 def tight_ensemble(d, n_paths, seed=0, t=1.0, n_steps=8):
     """Random ensemble on the smallest window that covers its tubes, so the
     balls reach the edge bins."""
-    grid = TimeGrid(t, n_steps)
-    positions = sample_paths(grid, d, n_paths, substream(seed, "paths", 0))
+    positions = sample_paths(t, n_steps, d, n_paths, substream(seed, "paths", 0))
     pmin, pmax = path_extent(positions)
     r = unit_ball_radius(d)
     box = SpaceTimeBox(t_max=t, lo=tuple(pmin - r), hi=tuple(pmax + r))
@@ -137,14 +135,26 @@ def assert_matches_dense(ens, h):
 
 class TestSamplePaths:
     def test_start_at_origin(self):
-        grid = TimeGrid(1.0, 8)
-        paths = sample_paths(grid, 2, 5, substream(0, "paths", 0))
+        paths = sample_paths(1.0, 8, 2, 5, substream(0, "paths", 0))
         assert paths.shape == (5, 9, 2)
         assert np.all(paths[:, 0, :] == 0.0)
 
     def test_invalid_count(self):
         with pytest.raises(InvalidParameterError):
-            sample_paths(TimeGrid(1.0, 4), 1, 0, substream(0, "paths", 0))
+            sample_paths(1.0, 4, 1, 0, substream(0, "paths", 0))
+
+    @pytest.mark.parametrize("t,n_steps,d,n_paths", [
+        (math.nan, 8, 1, 2), (math.inf, 8, 1, 2), (0.0, 8, 1, 2), (1.0, 8.0, 1, 2),
+        (1.0, True, 1, 2), (1.0, 0, 1, 2), (1.0, 8, 1.0, 2), (1.0, 8, 1, 2.0),
+    ], ids=["t-nan", "t-inf", "t-0", "n_steps-float", "n_steps-bool", "n_steps-0",
+            "d-float", "n_paths-float"])
+    def test_refuses_bad_horizon_or_count(self, t, n_steps, d, n_paths):
+        with pytest.raises(InvalidParameterError):
+            sample_paths(t, n_steps, d, n_paths, substream(0, "paths", 0))
+
+    def test_numpy_integer_counts_accepted(self):
+        paths = sample_paths(1.0, np.int64(8), np.int32(2), np.int64(5), substream(0, "paths", 0))
+        assert np.array_equal(paths, sample_paths(1.0, 8, 2, 5, substream(0, "paths", 0)))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("block", ["one-path", "ragged", "default"])
@@ -152,19 +162,18 @@ class TestSamplePaths:
         # blocks of one path, of three paths (700 = 233 * 3 + 1), and the
         # default: one block at d = 1, two at d = 2, three (the last of 18
         # paths) at d = 3
-        grid, n_paths = TimeGrid(2.0, 64), 700
+        t, n_steps, n_paths = 2.0, 64, 700
         if block != "default":
             monkeypatch.setattr(polymer, "_CHUNK_ELEMENTS",
-                                1 if block == "one-path" else 3 * grid.n_steps * d)
-        paths = sample_paths(grid, d, n_paths, substream(5, "paths", d))
-        expected = sample_paths_single_draw(grid, d, n_paths, substream(5, "paths", d))
+                                1 if block == "one-path" else 3 * n_steps * d)
+        paths = sample_paths(t, n_steps, d, n_paths, substream(5, "paths", d))
+        expected = sample_paths_single_draw(t, n_steps, d, n_paths, substream(5, "paths", d))
         assert paths.shape == expected.shape
         assert np.array_equal(paths, expected)
 
     def test_terminal_variance_matches_horizon(self):
         t, n_rep = 1.5, 10_000
-        grid = TimeGrid(t, 16)
-        paths = sample_paths(grid, 2, n_rep, substream(1, "paths", 0))
+        paths = sample_paths(t, 16, 2, n_rep, substream(1, "paths", 0))
         finals = paths[:, -1, :]
         se = t * math.sqrt(2.0 / (n_rep - 1))
         for coord in range(2):
@@ -172,13 +181,13 @@ class TestSamplePaths:
 
     def test_marginal_law_invariant_under_dt_halving(self):
         t, n_rep = 1.0, 4000
-        coarse = sample_paths(TimeGrid(t, 8), 1, n_rep, substream(2, "paths", 0))
-        fine = sample_paths(TimeGrid(t, 16), 1, n_rep, substream(2, "paths", 1))
+        coarse = sample_paths(t, 8, 1, n_rep, substream(2, "paths", 0))
+        fine = sample_paths(t, 16, 1, n_rep, substream(2, "paths", 1))
         assert stats.ks_2samp(coarse[:, -1, 0], fine[:, -1, 0]).pvalue > 0.01
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_path_extent_equals_whole_stack_reduction(self, d):
-        paths = sample_paths(TimeGrid(1.0, 16), d, 50, substream(3, "paths", d))
+        paths = sample_paths(1.0, 16, d, 50, substream(3, "paths", d))
         pmin, pmax = path_extent(paths)
         assert np.array_equal(pmin, paths.min(axis=(0, 1)))
         assert np.array_equal(pmax, paths.max(axis=(0, 1)))
@@ -491,15 +500,14 @@ class TestPalmIdentity:
         # inserting a point at (s, x) multiplies each path weight by
         # e^{beta chi_i}; the new occupancy at (s, x) must equal
         # e^beta m / (1 + lambda m) computed from the original ensemble
-        grid = TimeGrid(2.0, 16)
-        positions = sample_paths(grid, 1, 32, substream(77, "paths", 0))
+        positions = sample_paths(2.0, 16, 1, 32, substream(77, "paths", 0))
         lo = (positions.min() - 1.0,)
         hi = (positions.max() + 1.0,)
         box = SpaceTimeBox(t_max=2.0, lo=lo, hi=hi)
         cloud = sample_poisson(box, 1.5, substream(77, "cloud", 0))
         beta = 0.8
         lam = math.expm1(beta)
-        ens = build_ensemble(positions, grid.t, cloud, beta)
+        ens = build_ensemble(positions, 2.0, cloud, beta)
         rng = np.random.default_rng(5)
         for _ in range(10):
             s = rng.uniform(1e-6, 2.0)
@@ -507,7 +515,7 @@ class TestPalmIdentity:
             k = slab_indices(np.array([s]), 2.0, 16)[0]
             chi = (np.abs(positions[:, k, 0] - x) <= R1).astype(float)
             m = float(ens.normalized_weights @ chi)
-            palm_ens = build_ensemble(positions, grid.t, add_palm_point(cloud, s, [x]), beta)
+            palm_ens = build_ensemble(positions, 2.0, add_palm_point(cloud, s, [x]), beta)
             occupancy_after = float(palm_ens.normalized_weights @ chi)
             expected = math.exp(beta) * m / (1.0 + lam * m)
             assert occupancy_after == pytest.approx(expected, abs=1e-12)
