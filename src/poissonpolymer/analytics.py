@@ -304,7 +304,8 @@ def in_l2_region(beta: float, nu: float, a_l2: float) -> bool:
 
 
 _SCAN_STEP = 0.01
-# Largest d that ``bessel_zero`` takes: its sign scan holds about 50 d doubles.
+# Largest d that ``bessel_zero`` (its sign scan holds about 50 d doubles) and
+# ``ExperimentConfig`` take, so the CLI has one range for d.
 MAX_BESSEL_DIMENSION = 2 * 10 ** 4
 
 

@@ -4,10 +4,10 @@ The sampling is environments-outer, paths-inner: each of the K environments
 gets its own path batch, an (M, n_steps + 1, d) array; the spatial window is
 sized from that batch (range inflated by r_d + 0.5, sampled after the paths
 so it covers all of them), and the cloud is drawn on that window.  One loop,
-``_over_environments``, builds every replicate's ensembles once and hands
-them to a per-experiment reducer.  Replicates use substreams derived from
-(seed, tag, replicate index), so results are independent of scheduling and
-reproducible bit for bit.
+``_over_environments``, weights every replicate's paths in one cloud and
+hands the ensemble to a per-experiment reducer.  Replicates use substreams
+derived from (seed, tag, replicate index), so results are independent of
+scheduling and reproducible bit for bit.
 
 Every experiment takes one ``ExperimentConfig`` and returns a dict from
 observable name (the CLI's ``observable`` column) to ``EstimateWithError``;
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytics import _log_tilt, _tilt
+from .analytics import MAX_BESSEL_DIMENSION, _log_tilt, _tilt
 from .environment import (_CHUNK_ELEMENTS, SpaceTimeBox, _expected_points, batch_tube_counts,
                           draw_poisson, sample_poisson)
 from .errors import InvalidParameterError
@@ -93,9 +93,10 @@ class ExperimentConfig:
     (at most 10^8: the annealed counts take 8 bytes each); ``bin_width``
     defaults to r_d / 4 and is at most 2 r_d / sqrt(d).
     Desk-scale defaults target d = 1, t <= 8 with n_steps = 64 t.  The
-    counts d, n_steps (at most 2^53), n_paths, n_envs and seed are integers,
-    not bools.  ``|beta|`` is at most ``BETA_LIMIT``.  An invalid value
-    raises ``InvalidParameterError`` naming its key.
+    counts d (at most ``analytics.MAX_BESSEL_DIMENSION``), n_steps and
+    n_paths (each at most 2^53), n_envs and seed are integers, not bools.
+    ``|beta|`` is at most ``BETA_LIMIT``.  An invalid value raises
+    ``InvalidParameterError`` naming its key.
     """
 
     d: int
@@ -117,7 +118,7 @@ class ExperimentConfig:
         for key in ("beta", "nu", "t", "bin_width", "delta"):
             value = getattr(self, key)
             require(key, value is None or math.isfinite(value))
-        require("d", _integer(self.d) and self.d >= 1)  # the bin_width default needs it
+        require("d", _integer(self.d) and 1 <= self.d <= MAX_BESSEL_DIMENSION)  # r_d needs it
         require("t", self.t > 0)  # the n_steps default 64 t needs it
         if self.n_steps is None:
             require("t", 64 * self.t <= 2 ** 53)
@@ -127,7 +128,7 @@ class ExperimentConfig:
         require("beta", abs(self.beta) <= BETA_LIMIT)
         require("nu", self.nu >= 0)
         require("n_steps", _integer(self.n_steps) and 1 <= self.n_steps <= 2 ** 53)
-        require("paths_per_env", _integer(self.n_paths) and self.n_paths >= 1)
+        require("paths_per_env", _integer(self.n_paths) and 1 <= self.n_paths <= 2 ** 53)
         require("n_envs", _integer(self.n_envs) and 1 <= self.n_envs <= 10 ** 8)
         # in wider bins a ball of radius r_d can miss every bin center
         require("bin_width",
@@ -146,27 +147,21 @@ class ExperimentConfig:
                 f"above the budget of {MAX_PATH_ELEMENTS:.0e}")
 
 
-def _over_environments(cfg: ExperimentConfig, reduce, nus=None, extra_nu=None,
-                       densities=None):
+def _over_environments(cfg: ExperimentConfig, reduce, densities=None):
     """The environment loop of every path-batch experiment.
 
     Replicate i samples its path batch once, takes its extent once (for the
-    window and for every ensemble's coverage check), sizes the window from
-    it and weights it in one cloud per intensity in ``nus`` (default
-    ``cfg.nu``), each drawn from the ("cloud", i) substream.  With
-    ``extra_nu`` one more ensemble adds to the last one's Hamiltonians the
-    tube counts in an independent ``extra_nu`` cloud from ("cloud-extra", i):
-    the counts in the union of the two clouds, the coupling behind intensity
-    differences.  With ``densities`` (a tuple, possibly empty) the report of
-    the re-asserted grid inequalities of the first ensemble's field, which
-    holds the overlaps and delta sets, and the field integral of each
-    density follow the ensembles.
-    ``reduce(*ensembles)`` returns a tuple of floats; the result is one array
-    per tuple slot in replicate order, plus the diagnostics ``ess_min``,
-    ``ess_median`` and ``ess_degenerate`` of the first ensemble, the mean
-    point count of its cloud and the mean window volume (``points_mean``,
-    ``window_volume_mean``) and, with ``densities``, the worst ``min_slack``.
-    No replicate's path stack outlives the replicate.
+    window and for the ensemble's coverage check), sizes the window from it
+    and weights it in one cloud at ``cfg.nu`` from the ("cloud", i)
+    substream.  ``reduce(i, ensemble, *field)`` returns a tuple of floats;
+    ``field`` is empty, or with ``densities`` (a tuple, possibly empty) the
+    report of the re-asserted grid inequalities of the ensemble's field,
+    which holds the overlaps and delta sets, then the field integral of each
+    density.  The result is one array per tuple slot in replicate order,
+    plus the diagnostics ``ess_min``, ``ess_median`` and ``ess_degenerate``
+    of the ensembles, the mean point count and window volume
+    (``points_mean``, ``window_volume_mean``) and, with ``densities``, the
+    worst ``min_slack``.  No replicate's path stack outlives the replicate.
     """
     cfg.check_path_budget()
     rows, stats = [], []
@@ -176,23 +171,17 @@ def _over_environments(cfg: ExperimentConfig, reduce, nus=None, extra_nu=None,
                                  substream(cfg.seed, "paths", i))
         extent = path_extent(positions)
         box = SpaceTimeBox(cfg.t, *bounding_box_for(positions, extent))
-        clouds = [sample_poisson(box, nu, substream(cfg.seed, "cloud", i))
-                  for nu in (nus or (cfg.nu,))]
-        ensembles = [build_ensemble(positions, cfg.t, cloud, cfg.beta, extent)
-                     for cloud in clouds]
-        if extra_nu is not None:
-            extra = sample_poisson(box, extra_nu, substream(cfg.seed, "cloud-extra", i))
-            ensembles.append(GibbsEnsemble(positions, ensembles[-1].hamiltonians
-                                           + batch_tube_counts(extra, positions, cfg.t),
-                                           cfg.beta, box))
-        stats.append((ensembles[0].ess, clouds[0].n_points, box.volume))
+        cloud = sample_poisson(box, cfg.nu, substream(cfg.seed, "cloud", i))
+        ensemble = build_ensemble(positions, cfg.t, cloud, cfg.beta, extent)
+        stats.append((ensemble.ess, cloud.n_points, box.volume))
+        field = ()
         if densities is not None:
-            report, integrals = field_report(ensembles[0], cfg.bin_width, cfg.delta,
+            report, integrals = field_report(ensemble, cfg.bin_width, cfg.delta,
                                              densities, seed=cfg.seed, replicate=i)
-            ensembles += [report, *integrals]
+            field = (report, *integrals)
             min_slack = min(min_slack, report.min_slack())
-        rows.append(reduce(*ensembles))
-        positions = clouds = extra = ensembles = None  # none outlives its replicate
+        rows.append(reduce(i, ensemble, *field))
+        positions = cloud = ensemble = None  # none outlives its replicate
     ess, points, volumes = np.array(stats).T
     ess.sort()  # for min and median; np.median would import numpy.ma, about 1.5 MB
     degenerate = bool(ess[0] < ESS_WARN_FRACTION * cfg.n_paths)
@@ -216,7 +205,7 @@ def quenched_free_energy(cfg: ExperimentConfig) -> dict[str, EstimateWithError]:
     bias plus the worst effective sample size are reported as diagnostics.
     """
     (values, biases), diag = _over_environments(
-        cfg, lambda ens: tuple(v / cfg.t for v in ens.log_z_jackknife()))
+        cfg, lambda i, ens: tuple(v / cfg.t for v in ens.log_z_jackknife()))
     return {"quenched_free_energy": _mean_se(
         values, {**diag, "jackknife_bias_mean": float(biases.mean())})}
 
@@ -264,7 +253,7 @@ def dp_dbeta(cfg: ExperimentConfig) -> dict[str, EstimateWithError]:
     """
     eps = 0.05
 
-    def reduce(ens, report, palm):
+    def reduce(i, ens, report, palm):
         return (ens.mean_h / cfg.t,
                 cfg.nu * math.exp(cfg.beta) * palm,
                 (ens.log_z_at(cfg.beta + eps) - ens.log_z_at(cfg.beta - eps))
@@ -280,20 +269,25 @@ def dp_dnu(cfg: ExperimentConfig) -> dict[str, EstimateWithError]:
 
     dp_dnu_field: the field integral of ln(1 + lambda m) at nu.
     dp_dnu_coupled_fd: central difference of (1/t) ln Z_hat at nu +- eps,
-        eps = 0.05 nu, on the same path batch: the nu + eps tube counts
-        are the nu - eps counts plus those of an independent 2 eps cloud.
+        eps = 0.05 nu, on the nu ensemble's paths and window: the nu - eps
+        counts come from ("cloud", i), the nu + eps counts add those of an
+        independent 2 eps cloud from ("cloud-extra", i).
     """
     if cfg.nu <= 0:
         raise InvalidParameterError("invalid config value for key 'nu': the coupled "
                                     "difference needs nu > 0")
     eps = 0.05 * cfg.nu
 
-    def reduce(ens, ens_lo, ens_hi, report, field_integral):
-        return (field_integral, (ens_hi.log_z_hat - ens_lo.log_z_hat) / (2.0 * eps * cfg.t))
+    def reduce(i, ens, report, field_integral):
+        low, extra = (batch_tube_counts(sample_poisson(ens.box, nu, substream(cfg.seed, tag, i)),
+                                        ens.positions, cfg.t)
+                      for nu, tag in ((cfg.nu - eps, "cloud"), (2.0 * eps, "cloud-extra")))
+        log_z_low, log_z_high = (GibbsEnsemble(ens.positions, h, cfg.beta, ens.box).log_z_hat
+                                 for h in (low, low + extra))
+        return (field_integral, (log_z_high - log_z_low) / (2.0 * eps * cfg.t))
 
     (field_values, fd_values), diag = _over_environments(
-        cfg, reduce, nus=(cfg.nu, cfg.nu - eps), extra_nu=2.0 * eps,
-        densities=(lambda m: _log_tilt(cfg.beta, m),))
+        cfg, reduce, densities=(lambda m: _log_tilt(cfg.beta, m),))
     return {"dp_dnu_field": _mean_se(field_values, diag),
             "dp_dnu_coupled_fd": _mean_se(fd_values, {"min_slack": diag["min_slack"]})}
 
@@ -305,7 +299,7 @@ def localization_scan(cfg: ExperimentConfig) -> dict[str, EstimateWithError]:
     inequalities, aborting with the offending seed on violation, and the
     report of that check holds all five observables.
     """
-    def reduce(ens, report):
+    def reduce(i, ens, report):
         return (report.replica, report.favourite, report.middle, report.negligible,
                 report.predominant)
 

@@ -9,24 +9,28 @@ whole-array two-to-one report are the oracles of the slab-streamed
 ``polymer.field_report``.  ``nu_monotonicity``, the coupled
 intensity-monotonicity slacks, runs the library's environment loop as an
 experiment no CLI mode offers: it checks that p(beta, nu) - p(beta, nu_lo)
-lies between beta (nu - nu_lo) and (e^beta - 1)(nu - nu_lo).
+lies between beta (nu - nu_lo) and (e^beta - 1)(nu - nu_lo).  ``transfer_d1``
+is the exact reference in d = 1: ln Z, slab marginals and overlaps of one
+cloud by a transfer matrix on a grid, with no path sampled.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import betainc
 
 from poissonpolymer import polymer
-from poissonpolymer.environment import _CHUNK_ELEMENTS, PointCloud, batch_tube_counts
+from poissonpolymer.environment import (_CHUNK_ELEMENTS, PointCloud, batch_tube_counts,
+                                        sample_poisson, slab_indices)
 from poissonpolymer.errors import InvalidParameterError, InvariantViolationError
 from poissonpolymer.estimators import (EstimateWithError, ExperimentConfig, _mean_se,
                                        _over_environments)
 from poissonpolymer.geometry import unit_ball_radius
-from poissonpolymer.polymer import TwoToOneReport
+from poissonpolymer.polymer import GibbsEnsemble, TwoToOneReport
+from poissonpolymer.streams import substream
 
 
 def ball_overlap_volume(d: int, rho):
@@ -252,11 +256,97 @@ def favourite_overlap_pathwise(ensemble, centers: np.ndarray) -> float:
     return float(ensemble.normalized_weights @ inside.mean(axis=1))
 
 
+@dataclass(frozen=True, eq=False)
+class TransferD1:
+    """``transfer_d1``'s output: ``marginals[k, j]`` is the Gibbs probability
+    that the path sits in the grid cell around ``grid[j]`` during slab k."""
+
+    log_z: float
+    grid: np.ndarray         # (G,) cell centers, multiples of g
+    marginals: np.ndarray    # (n_steps, G)
+    replica: float           # time mean of h sum_b m(k, b)^2
+    favourite: float         # time mean of max_b m(k, b)
+
+
+def transfer_d1(cloud: PointCloud, beta: float, t: float, n_steps: int, g: float,
+                h: float) -> TransferD1:
+    """ln Z, slab marginals and overlaps of the d = 1 slab-discretised walk
+    in one cloud, by a transfer matrix on the grid of step g in its window.
+
+    The walk sits at x_k during slab k, so its weight factorises over slabs:
+    V_k(x) = prod_p (1 + lambda f_p(x)) over the points p of slab k, where
+    f_p is the fraction of the grid cell around x inside p's ball (its error
+    is O(g^2), a point test's O(g)).  The forward pass takes alpha_{k+1} =
+    K_dt * (alpha_k V_k), normalised at every step, from a unit mass at 0;
+    ln Z is the sum of the log normalisers.  K_dt is the Gaussian of
+    variance t / n_steps sampled on the grid out to 8 sd and renormalised;
+    the backward pass applies it to V_{k+1} beta_{k+1}, and the slab
+    marginal is proportional to alpha_k V_k beta_k.  The field m(k, b) at a
+    bin center b h (every multiple of h that is a grid point) is the
+    marginal's cell-overlap weight in the ball about it.
+    """
+    if cloud.box.d != 1 or not cloud.box.lo[0] <= 0.0 <= cloud.box.hi[0]:
+        raise InvalidParameterError("transfer_d1 needs a d = 1 window around 0")
+    step = round(h / g)
+    if not math.isclose(step * g, h):
+        raise InvalidParameterError(f"bin width {h} is not a multiple of g = {g}")
+    dt, lam, r = t / n_steps, math.expm1(beta), unit_ball_radius(1)
+    first = math.ceil(cloud.box.lo[0] / g)
+    grid = np.arange(first, math.floor(cloud.box.hi[0] / g) + 1) * g
+    n_cells = len(grid)
+
+    def overlap(distance):  # fraction of a cell at that distance from a center inside its ball
+        return np.clip((r - np.abs(distance)) / g + 0.5, 0.0, 1.0)
+
+    # log V_k as one scatter over the cells each point's ball touches
+    reach = np.arange(-math.ceil(r / g) - 1, math.ceil(r / g) + 2)
+    live = cloud.times <= t
+    cells = np.rint(cloud.coords[live, 0] / g).astype(np.int64)[:, None] + reach - first
+    weights = np.log1p(lam * overlap(grid[np.clip(cells, 0, n_cells - 1)]
+                                     - cloud.coords[live, :1]))
+    ok = (cells >= 0) & (cells < n_cells)
+    slabs = np.broadcast_to(slab_indices(cloud.times[live], t, n_steps)[:, None], cells.shape)
+    log_v = np.bincount((slabs * n_cells + cells)[ok], weights=weights[ok],
+                        minlength=n_steps * n_cells).reshape(n_steps, n_cells)
+    potential = np.exp(log_v - log_v.max(axis=1, keepdims=True))
+
+    half = math.ceil(8.0 * math.sqrt(dt) / g)
+    kernel = np.exp(-(np.arange(-half, half + 1) * g) ** 2 / (2.0 * dt))
+    kernel /= kernel.sum()
+
+    forward = np.empty((n_steps, n_cells))  # alpha_k V_k, normalised
+    alpha = np.zeros(n_cells)
+    alpha[-first] = 1.0
+    log_z = float(log_v.max(axis=1).sum())
+    for k in range(n_steps):
+        forward[k] = alpha * potential[k]
+        norm = forward[k].sum()
+        log_z += math.log(norm)
+        forward[k] /= norm
+        alpha = np.convolve(forward[k], kernel, mode="same")
+
+    marginals = forward  # alpha_k V_k beta_k, normalised, over the forward pass
+    backward = np.ones(n_cells)  # beta_k, up to a constant
+    for k in range(n_steps - 1, -1, -1):
+        marginals[k] *= backward
+        marginals[k] /= marginals[k].sum()
+        backward = np.convolve(potential[k] * backward, kernel, mode="same")
+        backward /= backward.max()
+
+    centers = np.flatnonzero((np.arange(n_cells) + first) % step == 0)
+    ball = overlap(reach * g)
+    field = np.array([np.convolve(m, ball, mode="same")[centers] for m in marginals])
+    return TransferD1(log_z=log_z, grid=grid, marginals=marginals,
+                      replica=float(np.mean(np.sum(field * field, axis=1)) * h),
+                      favourite=float(np.mean(field.max(axis=1))))
+
+
 def nu_monotonicity(cfg: ExperimentConfig, nu_lo: float) -> dict[str, EstimateWithError]:
     """Coupled estimate of p(beta, nu) - p(beta, nu_lo) and its bound slacks.
 
-    The nu tube counts are the nu_lo counts plus those of an independent
-    (nu - nu_lo)-cloud on the same window, with the same path batch, so the
+    The library's loop runs at nu_lo; the nu tube counts are the nu_lo
+    counts plus those of an independent (nu - nu_lo)-cloud from
+    ("cloud-extra", i) on the same window, with the same path batch, so the
     monotone coupling bounds hold replicate by replicate in expectation.
     Returns the ``difference``, its ``lower`` slack (difference minus
     beta (nu - nu_lo)) and its ``upper`` slack (lambda (nu - nu_lo) minus
@@ -265,9 +355,15 @@ def nu_monotonicity(cfg: ExperimentConfig, nu_lo: float) -> dict[str, EstimateWi
     if not 0.0 < nu_lo <= cfg.nu:
         raise InvalidParameterError(f"need 0 < nu_lo <= nu, got nu_lo={nu_lo}")
     gap = cfg.nu - nu_lo
-    (diffs,), _ = _over_environments(
-        cfg, lambda ens_lo, ens_hi: ((ens_hi.log_z_hat - ens_lo.log_z_hat) / cfg.t,),
-        nus=(nu_lo,), extra_nu=gap)
+
+    def reduce(i, ens_lo):
+        extra = sample_poisson(ens_lo.box, gap, substream(cfg.seed, "cloud-extra", i))
+        ens_hi = GibbsEnsemble(ens_lo.positions, ens_lo.hamiltonians
+                               + batch_tube_counts(extra, ens_lo.positions, cfg.t),
+                               cfg.beta, ens_lo.box)
+        return ((ens_hi.log_z_hat - ens_lo.log_z_hat) / cfg.t,)
+
+    (diffs,), _ = _over_environments(replace(cfg, nu=nu_lo), reduce)
     return {"difference": _mean_se(diffs),
             "lower": _mean_se(diffs - cfg.beta * gap),
             "upper": _mean_se(math.expm1(cfg.beta) * gap - diffs)}

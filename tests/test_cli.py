@@ -369,6 +369,10 @@ BOUNDARY_CONFIGS = [
     pytest.param("n_steps = 10000000000000000\nnu = 0\nmode = annealed\n", 2, "'n_steps'",
                  id="n_steps-1e16-annealed"),
     pytest.param("t = 1e6\nnu = 0.1\nmode = annealed\n", 0, None, id="t-1e6-annealed"),
+    pytest.param("paths_per_env = 100000000000000001\nnu = 0\nmode = annealed\n", 2,
+                 "'paths_per_env'", id="paths_per_env-1e17-annealed"),  # M written exactly
+    pytest.param("d = 100000000000000000\nbin_width = 1e-10\nnu = 0\nmode = annealed\n", 2,
+                 "'d'", id="d-1e17-annealed"),  # the window would take 1e17 doubles
 ]
 
 

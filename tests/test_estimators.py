@@ -8,7 +8,7 @@ import pytest
 import poissonpolymer.estimators as estimators
 from oracles import count_in_tube, nu_monotonicity
 from poissonpolymer.analytics import _log_tilt, _tilt, annealed_rate
-from poissonpolymer.environment import PointCloud, SpaceTimeBox, batch_tube_counts, sample_poisson
+from poissonpolymer.environment import PointCloud, SpaceTimeBox, sample_poisson
 from poissonpolymer.errors import InvalidParameterError
 from poissonpolymer.estimators import (
     ExperimentConfig,
@@ -19,7 +19,7 @@ from poissonpolymer.estimators import (
     quenched_free_energy,
 )
 from poissonpolymer.geometry import unit_ball_radius
-from poissonpolymer.polymer import WINDOW_MARGIN, bounding_box_for, sample_paths
+from poissonpolymer.polymer import WINDOW_MARGIN, bounding_box_for, build_ensemble, sample_paths
 from poissonpolymer.streams import substream
 
 
@@ -247,28 +247,29 @@ class TestDpDnu:
 
 
 class TestCoupledEnsemble:
-    @pytest.mark.parametrize("d,extra_nu", [(1, 0.7), (2, 0.7), (1, 0.0)],
-                             ids=["d1", "d2", "empty-extra"])
-    def test_hamiltonians_are_counts_in_the_union(self, d, extra_nu):
-        # the coupled ensemble adds the increment cloud's tube counts to the
-        # lower cloud's; they must equal the counts in one cloud holding both
+    @pytest.mark.parametrize("d", [1, 2], ids=["d1", "d2"])
+    def test_hamiltonians_are_counts_in_the_union(self, d):
+        # dp_dnu weights the path batch in the ("cloud", i) draw at nu - eps
+        # and in the union of that draw and the ("cloud-extra", i) increment
+        # at 2 eps; rebuilt by hand as two clouds, the mean difference must
+        # be dp_dnu's bit for bit
         c = cfg(d=d, nu=1.5, n_steps=16, n_paths=30, n_envs=3, seed=77)
-        (lows, highs), _ = estimators._over_environments(
-            c, lambda lo, hi: (lo.hamiltonians, hi.hamiltonians), nus=(0.8,),
-            extra_nu=extra_nu)
+        eps = 0.05 * c.nu
+        diffs = []
         for i in range(c.n_envs):
             positions = sample_paths(c.t, c.n_steps, d, c.n_paths,
                                      substream(c.seed, "paths", i))
             lo, hi = bounding_box_for(positions)
             box = SpaceTimeBox(t_max=c.t, lo=lo, hi=hi)
-            low = sample_poisson(box, 0.8, substream(c.seed, "cloud", i))
-            extra = sample_poisson(box, extra_nu, substream(c.seed, "cloud-extra", i))
-            both = PointCloud(times=np.concatenate([low.times, extra.times]),
-                              coords=np.concatenate([low.coords, extra.coords]), box=box)
-            assert (extra.n_points > 0) == (extra_nu > 0)
-            assert np.array_equal(lows[i], batch_tube_counts(low, positions, c.t))
-            assert np.array_equal(highs[i], batch_tube_counts(both, positions, c.t))
-        assert (highs > lows).any() == (extra_nu > 0)
+            low = sample_poisson(box, c.nu - eps, substream(c.seed, "cloud", i))
+            extra = sample_poisson(box, 2.0 * eps, substream(c.seed, "cloud-extra", i))
+            union = PointCloud(times=np.concatenate([low.times, extra.times]),
+                               coords=np.concatenate([low.coords, extra.coords]), box=box)
+            log_z_low, log_z_high = (build_ensemble(positions, c.t, cloud, c.beta).log_z_hat
+                                     for cloud in (low, union))
+            diffs.append((log_z_high - log_z_low) / (2.0 * eps * c.t))
+        assert any(diffs)  # some increment cloud reaches a tube
+        assert dp_dnu(c)["dp_dnu_coupled_fd"].value == float(np.mean(diffs))
 
 
 class TestDerivativeIntegrands:

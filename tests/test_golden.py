@@ -1,7 +1,8 @@
 """Byte-for-byte regression of the CLI against checked-in outputs.
 
-Each ``golden/<name>.cfg`` runs through ``polymer simulate`` and its
-``results.csv`` must equal ``golden/<name>.csv`` exactly.  The stdout of the
+Each ``golden/<name>.cfg`` runs through ``polymer simulate``; its
+``results.csv`` must equal ``golden/<name>.csv`` and its ``results.json``,
+every row's diagnostics included, ``golden/<name>.json`` exactly.  The stdout of the
 ``ANALYTIC`` invocations of ``polymer analytic``, each after a line naming
 it, must equal ``golden/analytic.txt``.  After a change that is meant to
 move the numbers, regenerate the expected files with
@@ -44,15 +45,18 @@ ANALYTIC = (
 )
 
 
-def simulate(name: str, out_dir) -> bytes:
+def simulate(name: str, out_dir) -> tuple[bytes, bytes]:
+    """The ``results.csv`` and ``results.json`` bytes of one golden config."""
     code = cli.main(["simulate", str(GOLDEN / f"{name}.cfg"), "--out", str(out_dir)])
     assert code == 0
-    return (Path(out_dir) / "results.csv").read_bytes()
+    return tuple((Path(out_dir) / f"results.{ext}").read_bytes() for ext in ("csv", "json"))
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_results_csv_byte_identical(name, tmp_path):
-    assert simulate(name, tmp_path) == (GOLDEN / f"{name}.csv").read_bytes()
+    csv_bytes, json_bytes = simulate(name, tmp_path)
+    assert csv_bytes == (GOLDEN / f"{name}.csv").read_bytes()
+    assert json_bytes == (GOLDEN / f"{name}.json").read_bytes()
 
 
 def analytic_transcript() -> bytes:
@@ -85,11 +89,12 @@ if __name__ == "__main__":
         path = GOLDEN / f"{case}.csv"
         old = path.read_bytes() if path.exists() else None
         with tempfile.TemporaryDirectory() as tmp:
-            new = simulate(case, tmp)
+            new, new_json = simulate(case, tmp)
         path.write_bytes(new)
+        path.with_suffix(".json").write_bytes(new_json)
         change = "" if old is None else ": largest relative change " + ", ".join(
             f"{column} {largest_relative_change(old, new, column):.2g}"
             for column in ("value", "std_error"))
-        print(f"wrote {path}{change}")
+        print(f"wrote {path}{change} and {path.with_suffix('.json').name}")
     (GOLDEN / "analytic.txt").write_bytes(analytic_transcript())
     print(f"wrote {GOLDEN / 'analytic.txt'}")

@@ -1,0 +1,56 @@
+"""The exact d = 1 reference ``oracles.transfer_d1`` against a closed form
+and against importance sampling on the same clouds.
+
+Both use t = 4, n_steps = 256, bin width h = 1/8 with bin centers on
+multiples of h, grid step g = h / 8 and the fixed window
++-(6 sqrt(t) + r_1 + 0.5), which covers every path tube the tests sample.
+"""
+
+import math
+
+import numpy as np
+from scipy.special import ndtr
+
+from oracles import transfer_d1
+from poissonpolymer.environment import PointCloud, SpaceTimeBox, sample_poisson
+from poissonpolymer.geometry import unit_ball_radius
+from poissonpolymer.polymer import build_ensemble, sample_paths
+from poissonpolymer.streams import substream
+
+T, N_STEPS, H, G = 4.0, 256, 1 / 8, 1 / 64
+R = unit_ball_radius(1)
+BOX = SpaceTimeBox(T, (-(6 * math.sqrt(T) + R + 0.5),), (6 * math.sqrt(T) + R + 0.5,))
+
+
+def test_beta_zero_overlaps_match_the_closed_form():
+    # at beta = 0 the slab-k marginal is N(0, k dt), so m(k, b) is a
+    # difference of normal CDFs for k >= 1; at k = 0 the path is the unit
+    # mass at 0, whose cell-overlap weight is 1/2 at the two bin centers
+    # +-r on the ball's edge (a closed-ball point test would read 1 there,
+    # and the replica overlap 0.245638)
+    empty = PointCloud(times=np.empty(0), coords=np.empty((0, 1)), box=BOX)
+    exact = transfer_d1(empty, 0.0, T, N_STEPS, G, H)
+    centers = np.arange(-200, 201) * H
+    spread = np.sqrt(np.arange(1, N_STEPS) * T / N_STEPS)[:, None]
+    field = np.vstack([np.clip((R - np.abs(centers)) / G + 0.5, 0.0, 1.0),
+                       ndtr((centers + R) / spread) - ndtr((centers - R) / spread)])
+    replica = float(np.mean(np.sum(field * field, axis=1)) * H)
+    favourite = float(np.mean(field.max(axis=1)))
+    assert abs(replica - 0.2449052) <= 1e-7 and abs(favourite - 0.3421524) <= 1e-7
+    assert abs(exact.replica - replica) <= 2e-5
+    assert abs(exact.favourite - favourite) <= 2e-5
+    assert abs(exact.log_z) <= 1e-9
+    assert np.allclose(exact.marginals.sum(axis=1), 1.0)
+
+
+def test_log_z_agrees_with_importance_sampling():
+    # per environment, within 4 delta-method standard errors of IS's
+    # ln Z_hat, sqrt(1 / ESS - 1 / M), on the same fixed-window cloud
+    beta, nu, n_paths, seed = 0.5, 1.0, 2000, 2012
+    for i in range(4):
+        cloud = sample_poisson(BOX, nu, substream(seed, "cloud", i))
+        positions = sample_paths(T, N_STEPS, 1, n_paths, substream(seed, "paths", i))
+        ensemble = build_ensemble(positions, T, cloud, beta)
+        exact = transfer_d1(cloud, beta, T, N_STEPS, G, H)
+        tol = 4.0 * math.sqrt(1.0 / ensemble.ess - 1.0 / n_paths)
+        assert abs(ensemble.log_z_hat - exact.log_z) <= tol, (i, ensemble.ess)
