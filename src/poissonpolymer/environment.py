@@ -35,7 +35,8 @@ __all__ = [
 # holds at most this many elements (512 KiB): a gather of every live point at
 # once would cost M * n_points * d doubles, hundreds of MB at nu = 100.
 # ``polymer._field_blocks`` takes chunks of ``_CHUNK_ELEMENTS // (2R + 1)^d``
-# (slab, path) pairs, so a chunk's stencil bins stay under it too, and
+# (slab, path) pairs, so a chunk's stencil bins stay under it too (in d = 1 it
+# expands one run per group of pairs that share it, far fewer entries), and
 # ``polymer.sample_paths`` draws the increments of as many paths at a time.
 _CHUNK_ELEMENTS = 2 ** 16
 

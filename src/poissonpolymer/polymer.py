@@ -15,7 +15,10 @@ That is what makes the grid two-to-one inequalities below exact (slack
 bounded by roundoff), not merely asymptotic.  On the last axis a stencil
 row's inside bins are one run (the distance to the centers falls, then
 rises).  Each end of the run is estimated from the chord half-width and
-pushed half a bin outward, so one ball test per end finds it exactly.
+pushed half a bin outward, so one ball test per end finds it exactly.  In
+d = 1 a slab is one row, and the paths that share a run are merged into one
+weight before it is expanded; in d >= 2 a path's runs differ from row to
+row, so each inside bin stays one entry.
 
 The field is reduced slab block by slab block and never held whole.  The
 kernel fills a buffer of min(n_steps, max(2^16 // B, ceil(c / M) + 1))
@@ -207,8 +210,12 @@ def _field_blocks(ensemble: GibbsEnsemble, h: float):
     of one or more consecutive slabs k, so their positions and weights are
     copied as the segments ``positions[p0:p1, k]`` and ``w[p0:p1]``.
     Entries run slab, path, row, bin and are accumulated by one ``bincount``
-    per chunk, so every bin adds its paths in increasing path index: bins
-    covered by the same paths hold bit-identical values.
+    per chunk, so every bin adds its paths in increasing path index.  In
+    d = 1 the chunk's pairs are first summed, in path order, into one weight
+    per (L, first) group of those whose run is bins first..first + L - 1, and
+    the entries run in increasing (L, first).  Either way bins covered by the
+    same paths add the same terms in the same order: they hold bit-identical
+    values.  Merging per row in d >= 2 would group paths differently by row.
 
     Bins are in lexicographic order.  The rows live in a buffer of ``span``
     slabs (the block bound of the module docstring).  Chunks run slab-major,
@@ -269,12 +276,19 @@ def _field_blocks(ensemble: GibbsEnsemble, h: float):
         jr = np.clip(np.floor((xl + half - lo[-1]) / h), -1, shape[-1] - 1).astype(np.int64)
         jl += rows + (xl - last[jl]) ** 2 > r * r
         jr -= rows + (xl - last[jr]) ** 2 > r * r
-        count = np.maximum(jr - jl + 1, 0).ravel()
+        count, first = np.maximum(jr - jl + 1, 0).ravel(), (flat + jl).ravel()
+        if d == 1:
+            # keyed (L - low, first); an empty run's first may be one past the bins
+            size, low = (k1 - k0) * n_bins + 1, count.min()
+            sums = np.bincount((count - low) * size + first, weights,
+                               minlength=(count.max() - low + 1) * size)
+            groups = np.flatnonzero(sums)
+            weights, count, first = sums[groups], groups // size + low, groups % size
         skip = np.cumsum(count)
         skip -= count  # entries before each row
-        bins = np.repeat((flat + jl).ravel() - skip, count)
+        bins = np.repeat(first - skip, count)
         bins += np.arange(len(bins))
-        weights = np.repeat(weights, count.reshape(len(x), -1).sum(axis=1))
+        weights = np.repeat(weights, count.reshape(len(weights), -1).sum(axis=1))
         values[k0 - base:k1 - base] += np.bincount(
             bins, weights=weights, minlength=(k1 - k0) * n_bins).reshape(k1 - k0, n_bins)
     yield values[:n - base]

@@ -141,13 +141,17 @@ def occupancy_field_candidates(ensemble, h: float,
     """Field values (n_steps, B) from ball tests of every candidate bin.
 
     Each (slab, path) pair is tested against all ``(2R + 1)^d`` bins around
-    the bin holding it, ``R = ceil(r_d / h) + 1``, and the kept entries, in
-    slab, path, stencil-offset order, feed one ``bincount`` per chunk of
-    ``chunk_elements // (2R + 1)^d`` pairs.  ``polymer._field_blocks`` copies
-    each chunk's positions slab segment by slab segment and makes one ball
-    test per end of each row's run of inside bins, at its estimate pushed
-    half a bin outward, but keeps these entries, their order and the chunks,
-    so it must equal this bit for bit.
+    the bin holding it, ``R = ceil(r_d / h) + 1``, in chunks of
+    ``chunk_elements // (2R + 1)^d`` pairs.  In d >= 2 the kept entries, in
+    slab, path, stencil-offset order, feed one ``bincount`` per chunk.  In
+    d = 1 a pair's kept bins are one run of L bins from ``first``: the
+    chunk's pairs are summed, in pair order, into one weight per
+    (L, slab, first) group, and the groups, in sorted order, are added bin
+    by bin.  ``polymer._field_blocks`` copies each chunk's positions slab
+    segment by slab segment and makes one ball test per end of each row's
+    run of inside bins, at its estimate pushed half a bin outward, but keeps
+    these sums, their order and the chunks, so it must equal this bit for
+    bit.
     """
     d, n, n_paths = ensemble.d, ensemble.n_steps, ensemble.n_paths
     lo = np.asarray(ensemble.box.lo)
@@ -176,6 +180,20 @@ def occupancy_field_candidates(ensemble, h: float,
             dist2 = dist2[..., np.newaxis] + sq[:, i].reshape(axis_shape)
             flat = flat[..., np.newaxis] + (idx[:, i] * strides[i]).reshape(axis_shape)
         keep = (dist2 <= r * r).reshape(len(pair), -1)
+        if d == 1:
+            groups = {}
+            for p in range(len(pair)):
+                run = flat[p, keep[p]] - (slab[p] - k0) * n_bins
+                if len(run):
+                    assert np.array_equal(run, np.arange(run[0], run[0] + len(run)))
+                    key = (len(run), slab[p] - k0, run[0])
+                    groups[key] = groups.get(key, 0.0) + w[path[p]]
+            chunk_values = np.zeros((k1 - k0, n_bins))
+            for (length, k, first), total in sorted(groups.items()):
+                for b in range(first, first + length):
+                    chunk_values[k, b] += total
+            values[k0:k1] += chunk_values
+            continue
         weights = np.repeat(w[path], keep.sum(axis=1))
         values[k0:k1] += np.bincount(flat.reshape(len(pair), -1)[keep], weights=weights,
                                      minlength=(k1 - k0) * n_bins).reshape(k1 - k0, n_bins)

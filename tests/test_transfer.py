@@ -1,9 +1,10 @@
-"""The exact d = 1 reference ``oracles.transfer_d1`` against a closed form
-and against importance sampling on the same clouds.
+"""The exact d = 1 reference ``oracles.transfer_d1`` against two closed
+forms and against importance sampling on the same clouds.
 
-Both use t = 4, n_steps = 256, bin width h = 1/8 with bin centers on
-multiples of h, grid step g = h / 8 and the fixed window
-+-(6 sqrt(t) + r_1 + 0.5), which covers every path tube the tests sample.
+All use bin width h = 1/8 with bin centers on multiples of h, grid step
+g = h / 8 and the fixed window +-(6 sqrt(t) + r_1 + 0.5), which covers
+every path tube the tests sample; t = 4 and n_steps = 256 unless a test
+says otherwise.
 """
 
 import math
@@ -19,7 +20,13 @@ from poissonpolymer.streams import substream
 
 T, N_STEPS, H, G = 4.0, 256, 1 / 8, 1 / 64
 R = unit_ball_radius(1)
-BOX = SpaceTimeBox(T, (-(6 * math.sqrt(T) + R + 0.5),), (6 * math.sqrt(T) + R + 0.5,))
+
+
+def fixed_window(t):
+    return SpaceTimeBox(t, (-(6 * math.sqrt(t) + R + 0.5),), (6 * math.sqrt(t) + R + 0.5,))
+
+
+BOX = fixed_window(T)
 
 
 def test_beta_zero_overlaps_match_the_closed_form():
@@ -54,3 +61,16 @@ def test_log_z_agrees_with_importance_sampling():
         exact = transfer_d1(cloud, beta, T, N_STEPS, G, H)
         tol = 4.0 * math.sqrt(1.0 / ensemble.ess - 1.0 / n_paths)
         assert abs(ensemble.log_z_hat - exact.log_z) <= tol, (i, ensemble.ess)
+
+
+def test_mean_partition_function_is_campbells():
+    # every path's tube has unit volume per unit time, so by Campbell's
+    # formula E Z = E prod_p (1 + lambda f_p) = exp(nu t lambda), lambda =
+    # e^beta - 1; within 3 standard errors of the mean over 200 clouds
+    t, n_steps, beta, nu, n_clouds, seed = 1.0, 64, 0.5, 1.0, 200, 2012
+    box = fixed_window(t)
+    z = np.array([math.exp(transfer_d1(sample_poisson(box, nu, substream(seed, "cloud", i)),
+                                       beta, t, n_steps, G, H).log_z)
+                  for i in range(n_clouds)])
+    se = z.std(ddof=1) / math.sqrt(n_clouds)
+    assert abs(z.mean() - math.exp(nu * t * math.expm1(beta))) <= 3.0 * se, (z.mean(), se)
