@@ -216,26 +216,23 @@ def critical_beta_bounds(nu: float, crit: CriticalPoint,
     degenerate = alpha == 2.0
     if crit.sign == "plus":
         if alpha < 1.0:
-            raise HypothesisError("alpha >= 1", "plus-branch sandwich needs alpha >= 1")
+            raise HypothesisError("plus-branch sandwich needs alpha >= 1")
         if nu >= crit.nu0:
             if not degenerate and alpha > critical_curve_exponent(crit.beta0):
                 raise HypothesisError(
-                    "alpha <= alpha(beta0)",
                     f"case a1 needs alpha <= {critical_curve_exponent(crit.beta0):.6g}")
             return BetaCriticalBounds(edge(1.0 / alpha, 1.0), edge(0.5, 1.0), "a1")
         if alpha > 2.0:
-            raise HypothesisError("alpha <= 2", "case a2 needs alpha <= 2")
+            raise HypothesisError("case a2 needs alpha <= 2")
         return BetaCriticalBounds(edge(0.5, 1.0), edge(1.0 / alpha, 1.0), "a2")
     # minus branch: bounds are ln(1 - c1 * ratio^exponent)
     alpha0 = critical_curve_exponent(crit.beta0)
     if not degenerate and alpha < alpha0:
-        raise HypothesisError("alpha >= alpha(beta0)",
-                              f"minus-branch sandwich needs alpha >= {alpha0:.6g}")
+        raise HypothesisError(f"minus-branch sandwich needs alpha >= {alpha0:.6g}")
     if nu >= crit.nu0:
         return BetaCriticalBounds(edge(1.0 / alpha, -1.0), edge(0.5, -1.0), "b1")
     if nu <= crit.nu0 * crit.c2 ** 2:
-        raise HypothesisError("nu > nu0 * c2^2",
-                              f"case b2 needs nu > {crit.nu0 * crit.c2 ** 2:.6g}")
+        raise HypothesisError(f"case b2 needs nu > {crit.nu0 * crit.c2 ** 2:.6g}")
     return BetaCriticalBounds(edge(0.5, -1.0), edge(1.0 / alpha, -1.0), "b2")
 
 
@@ -264,13 +261,11 @@ def classify_phase(beta: float, nu: float, crit: CriticalPoint,
     if plus:
         limit = critical_curve_exponent(max(beta, crit.beta0))
         if alpha > limit:
-            raise HypothesisError("alpha <= alpha(max(beta, beta0))",
-                                  f"plus-branch query needs alpha <= {limit:.6g}")
+            raise HypothesisError(f"plus-branch query needs alpha <= {limit:.6g}")
     else:
         limit = critical_curve_exponent(min(beta, crit.beta0))
         if alpha < limit:
-            raise HypothesisError("alpha >= alpha(min(beta, beta0))",
-                                  f"minus-branch query needs alpha >= {limit:.6g}")
+            raise HypothesisError(f"minus-branch query needs alpha >= {limit:.6g}")
     lam = abs(math.expm1(beta))
     lam0 = abs(math.expm1(crit.beta0))
     sq = nu * lam ** 2

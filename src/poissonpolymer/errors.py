@@ -14,14 +14,8 @@ class WindowCoverageError(RuntimeError):
 
 
 class HypothesisError(InvalidParameterError):
-    """A closed-form bound was queried outside its hypothesis region.
-
-    ``condition`` names the failed hypothesis.
-    """
-
-    def __init__(self, condition: str, message: str = ""):
-        self.condition = condition
-        super().__init__(message or f"hypothesis violated: {condition}")
+    """A closed-form bound was queried outside its hypothesis region; it carries
+    only its message, which names the failed hypothesis."""
 
 
 class NumericError(RuntimeError):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import random_gibbs_ensemble
-from oracles import nu_monotonicity
+from oracles import nu_monotonicity, transfer_d1
 from poissonpolymer.analytics import (
     annealed_gap_integrand,
     annealed_rate,
@@ -24,7 +24,9 @@ from poissonpolymer.analytics import (
     drift_gap_integrand,
 )
 from poissonpolymer.cli import main
+from poissonpolymer.environment import PointCloud, SpaceTimeBox, sample_poisson
 from poissonpolymer.estimators import (
+    EstimateWithError,
     ExperimentConfig,
     annealed_free_energy,
     dp_dbeta,
@@ -33,6 +35,7 @@ from poissonpolymer.estimators import (
 )
 from poissonpolymer.geometry import unit_ball_radius
 from poissonpolymer.polymer import field_report
+from poissonpolymer.streams import substream
 
 SEED = 20260810
 
@@ -214,6 +217,33 @@ class TestCriterion7IntensityMonotonicity:
                f">= -3*SE [{elapsed:.0f}s]")
 
 
+BETA_CELLS = [(beta, 1.0) for beta in (0.0, 0.5, 1.0, 2.0)]
+NU_CELLS = [(0.5, nu) for nu in (1.0, 10.0, 100.0)]
+
+
+def report_beta_trend(cid, overlaps, elapsed):
+    ok = True
+    detail = []
+    for prev, nxt in zip(overlaps, overlaps[1:]):
+        margin = nxt.value - prev.value
+        tol = 2.0 * comb_se(prev, nxt)
+        ok = ok and margin >= -tol
+        detail.append(f"{margin:+.4f}>=-{tol:.4f}")
+    report(cid, ok,
+           f"overlaps {[round(o.value, 4) for o in overlaps]} adjacent "
+           f"margins {detail} [{elapsed:.0f}s]")
+
+
+def report_nu_trend(cid, overlaps, elapsed):
+    ok = True
+    for prev, nxt in zip(overlaps, overlaps[1:]):
+        ok = ok and nxt.value - prev.value >= -2.0 * comb_se(prev, nxt)
+    ok_high = overlaps[-1].value >= 0.5
+    report(cid, ok and ok_high,
+           f"overlaps {[round(o.value, 4) for o in overlaps]}; "
+           f"nu=100 overlap {overlaps[-1].value:.4f} >= 0.5 [{elapsed:.0f}s]")
+
+
 class TestCriterion8LocalizationTrend:
     """Directional localization checks at desk scale (finite t only)."""
 
@@ -225,32 +255,55 @@ class TestCriterion8LocalizationTrend:
 
     def test_overlap_nondecreasing_in_beta(self):
         start = time.perf_counter()
-        betas = [0.0, 0.5, 1.0, 2.0]
-        overlaps = self.overlaps([(b, 1.0) for b in betas])
-        ok = True
-        detail = []
-        for prev, nxt in zip(overlaps, overlaps[1:]):
-            margin = nxt.value - prev.value
-            tol = 2.0 * comb_se(prev, nxt)
-            ok = ok and margin >= -tol
-            detail.append(f"{margin:+.4f}>=-{tol:.4f}")
-        elapsed = time.perf_counter() - start
-        report("8(beta-trend)", ok,
-               f"overlaps {[round(o.value, 4) for o in overlaps]} adjacent "
-               f"margins {detail} [{elapsed:.0f}s]")
+        overlaps = self.overlaps(BETA_CELLS)
+        report_beta_trend("8(beta-trend)", overlaps, time.perf_counter() - start)
 
     def test_overlap_grows_with_intensity(self):
         start = time.perf_counter()
-        nus = [1.0, 10.0, 100.0]
-        overlaps = self.overlaps([(0.5, nu) for nu in nus])
-        ok = True
-        for prev, nxt in zip(overlaps, overlaps[1:]):
-            ok = ok and nxt.value - prev.value >= -2.0 * comb_se(prev, nxt)
-        ok_high = overlaps[-1].value >= 0.5
-        elapsed = time.perf_counter() - start
-        report("8(nu-trend)", ok and ok_high,
-               f"overlaps {[round(o.value, 4) for o in overlaps]}; "
-               f"nu=100 overlap {overlaps[-1].value:.4f} >= 0.5 [{elapsed:.0f}s]")
+        overlaps = self.overlaps(NU_CELLS)
+        report_nu_trend("8(nu-trend)", overlaps, time.perf_counter() - start)
+
+
+@pytest.fixture(scope="module")
+def exact_overlaps():
+    """Criterion 8's cells by the exact d = 1 transfer matrix: each cell's
+    replica overlap over 100 clouds from ("cloud", i) of SEED on the fixed
+    window +-(6 sqrt(t) + r_1 + 0.5), with criterion 8's bin width h = r_1 / 4
+    and grid step g = h / 4.  beta = 0 does not depend on the cloud, so it is
+    one empty-cloud call with SE 0.  Returns the cells and their seconds."""
+    start = time.perf_counter()
+    t, n_steps, n_clouds, r = 4.0, 256, 100, unit_ball_radius(1)
+    h = r / 4
+    g = h / 4
+    half = 6 * math.sqrt(t) + r + 0.5
+    box = SpaceTimeBox(t, (-half,), (half,))
+    empty = PointCloud(times=np.empty(0), coords=np.empty((0, 1)), box=box)
+    cells = {(0.0, 1.0): EstimateWithError(
+        transfer_d1(empty, 0.0, t, n_steps, g, h).replica, 0.0, 1)}
+    for nu, betas in ((1.0, (0.5, 1.0, 2.0)), (10.0, (0.5,)), (100.0, (0.5,))):
+        replicas = np.empty((len(betas), n_clouds))
+        for i in range(n_clouds):
+            cloud = sample_poisson(box, nu, substream(SEED, "cloud", i))
+            for j, beta in enumerate(betas):
+                replicas[j, i] = transfer_d1(cloud, beta, t, n_steps, g, h).replica
+        for beta, values in zip(betas, replicas):
+            cells[beta, nu] = EstimateWithError(
+                float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_clouds)),
+                n_clouds)
+    return cells, time.perf_counter() - start
+
+
+class TestCriterion8ExactLocalizationTrend:
+    """Criterion 8's cells and tolerances on exact d = 1 replica overlaps
+    (``exact_overlaps``); the reported seconds are those of all six cells."""
+
+    def test_overlap_nondecreasing_in_beta(self, exact_overlaps):
+        cells, elapsed = exact_overlaps
+        report_beta_trend("8-exact(beta-trend)", [cells[c] for c in BETA_CELLS], elapsed)
+
+    def test_overlap_grows_with_intensity(self, exact_overlaps):
+        cells, elapsed = exact_overlaps
+        report_nu_trend("8-exact(nu-trend)", [cells[c] for c in NU_CELLS], elapsed)
 
 
 class TestCriterion9Determinism:

@@ -642,18 +642,19 @@ class TestRepeatedCalls:
         assert capsys.readouterr().out == default == "beta,lambda\n0,0\n"
 
 
-def test_cli_import_skips_scipy_optimize():
+@pytest.mark.parametrize("module, unloaded", [
     # scipy.special and scipy.optimize would more than double a fresh
     # interpreter's start-up time
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    code = ("import sys, poissonpolymer.cli; "
-            "sys.exit('scipy.optimize' in sys.modules or 'scipy.special' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
-
-
-def test_cli_import_skips_numpy_random():
+    ("poissonpolymer.cli", ("scipy.optimize", "scipy.special")),
     # numpy.random adds about 2 MB and 10 ms to every start-up; the streams
     # module loads it on the first substream call
+    ("poissonpolymer.cli", ("numpy.random",)),
+    # the package root holds only __version__; every name comes from its module
+    ("poissonpolymer", ("poissonpolymer.", "numpy")),
+], ids=["cli-scipy", "cli-numpy-random", "root"])
+def test_import_leaves_modules_unloaded(module, unloaded):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    code = "import sys, poissonpolymer.cli; sys.exit('numpy.random' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = (f"import sys, {module}; "
+            f"sys.exit(sorted(m for m in sys.modules if m.startswith({unloaded!r})) or None)")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
