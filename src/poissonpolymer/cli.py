@@ -128,6 +128,8 @@ def build_run_plan(raw: dict, sweep: bool,
         raise InvalidParameterError("grid.* keys are only valid for the sweep command")
     base = {"d": 1, "t": 4.0}  # the format's own defaults; the rest are ExperimentConfig's
     for key, (name, cast) in NUMBER_KEYS.items():
+        if key in raw and key in grids:
+            raise InvalidParameterError(f"config keys '{key}' and 'grid.{key}' exclude each other")
         if key in raw:
             base[name] = _parse_number(raw, key, cast)
         elif key in ("beta", "nu") and key not in grids:
@@ -193,16 +195,18 @@ def _write_outputs(out_dir: Path, rows: list[dict], config_text: str, mode: str,
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _load_config_text(args) -> str:
+def _load_config_text(args) -> tuple[str, int | None]:
+    """The config text and the seed overriding its own: ``--seed``, else on
+    replay the manifest's ``master_seed``, so that the replay is the run."""
     path = args.from_manifest or args.config
-    if path is None:
-        raise InvalidParameterError("either a config file or --from-manifest is required")
+    if path is None or (args.from_manifest and args.config):
+        raise InvalidParameterError("exactly one of a config file and --from-manifest is required")
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise InvalidParameterError(f"{path} is not UTF-8 text") from exc
     if not args.from_manifest:
-        return text
+        return text, args.seed
     try:
         manifest = json.loads(text)
     except json.JSONDecodeError:
@@ -210,13 +214,15 @@ def _load_config_text(args) -> str:
     if not isinstance(manifest, dict) or not isinstance(manifest.get("config_text"), str):
         raise InvalidParameterError(f"manifest {path} is not a JSON object "
                                     "with a string key 'config_text'")
-    return manifest["config_text"]
+    if type(manifest.get("master_seed")) is not int:
+        raise InvalidParameterError(f"manifest {path} has no integer key 'master_seed'")
+    return manifest["config_text"], manifest["master_seed"] if args.seed is None else args.seed
 
 
 def _cmd_experiment(args, sweep: bool) -> int:
-    config_text = _load_config_text(args)
+    config_text, seed = _load_config_text(args)
     mode, cells = build_run_plan(parse_config_text(config_text), sweep=sweep,
-                                 seed_override=args.seed)
+                                 seed_override=seed)
     rows = []
     timings = {}
     start = time.perf_counter()

@@ -40,6 +40,7 @@ from .geometry import unit_ball_radius
 from .polymer import (
     MAX_PATH_ELEMENTS,
     GibbsEnsemble,
+    _field_blocks,
     _integer,
     bounding_box_for,
     build_ensemble,
@@ -74,15 +75,13 @@ class EstimateWithError:
 
     value: float
     std_error: float
-    n_replicates: int
     diagnostics: dict = field(default_factory=dict, compare=False)
 
 
 def _mean_se(values, diagnostics: dict | None = None) -> EstimateWithError:
     arr = np.asarray(values, dtype=float)
-    k = len(arr)
-    se = float(arr.std(ddof=1) / math.sqrt(k)) if k > 1 else math.nan
-    return EstimateWithError(float(arr.mean()), se, k, diagnostics or {})
+    se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else math.nan
+    return EstimateWithError(float(arr.mean()), se, diagnostics or {})
 
 
 @dataclass(frozen=True)
@@ -176,8 +175,9 @@ def _over_environments(cfg: ExperimentConfig, reduce, densities=None):
         stats.append((ensemble.ess, cloud.n_points, box.volume))
         field = ()
         if densities is not None:
-            report, integrals = field_report(ensemble, cfg.bin_width, cfg.delta,
-                                             densities, seed=cfg.seed, replicate=i)
+            blocks = _field_blocks(ensemble, cfg.bin_width)
+            report, integrals = field_report(blocks, cfg.bin_width, cfg.d, cfg.delta, densities,
+                                             seed=cfg.seed, replicate=i)
             field = (report, *integrals)
             min_slack = min(min_slack, report.min_slack())
         rows.append(reduce(i, ensemble, *field))
@@ -239,7 +239,7 @@ def annealed_free_energy(cfg: ExperimentConfig) -> dict[str, EstimateWithError]:
     se = float(y.std(ddof=1) / math.sqrt(cfg.n_envs)) / mean_y / cfg.t \
         if cfg.n_envs > 1 else math.nan
     return {"annealed_free_energy": EstimateWithError(
-        value, se, cfg.n_envs, {"target": cfg.nu * math.expm1(cfg.beta)})}
+        value, se, {"target": cfg.nu * math.expm1(cfg.beta)})}
 
 
 def dp_dbeta(cfg: ExperimentConfig) -> dict[str, EstimateWithError]:

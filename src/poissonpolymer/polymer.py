@@ -24,9 +24,9 @@ The field is reduced slab block by slab block and never held whole.  The
 kernel fills a buffer of min(n_steps, max(2^16 // B, ceil(c / M) + 1))
 slabs of B bins, where a chunk holds c = 2^16 // (2R + 1)^d of the
 (slab, path) pairs, and hands over its finished rows; ``field_report``
-reduces each block to per-slab sums before the kernel goes on.  The whole
-(n_steps, B) field and its whole-array report are test oracles, in
-``tests/oracles.py``.
+reduces each block to per-slab sums before the kernel goes on; it reads
+only blocks, so an exact field's will do.  The whole (n_steps, B) field and
+its whole-array report are test oracles, in ``tests/oracles.py``.
 
 The localization observables are reductions of the field alone, collected
 by ``field_report``.  The favourite overlap, the Gibbs-mean fraction
@@ -298,8 +298,8 @@ def _field_blocks(ensemble: GibbsEnsemble, h: float):
 class TwoToOneReport:
     """All sides of the exact grid two-to-one inequalities for one field.
 
-    Every ``slack_*`` is (bound - quantity) and must be >= -tol; the proofs
-    are pointwise (Cauchy-Schwarz cell by cell), so they hold per
+    Every ``slack_*`` is (bound - quantity) and must be >= -1e-9 (roundoff);
+    the proofs are pointwise (Cauchy-Schwarz cell by cell), so they hold per
     configuration, not just on average.  ``slack_left_d1`` uses the d = 1
     covering constant 1/2 and is only populated in dimension one.
     """
@@ -326,16 +326,16 @@ class TwoToOneReport:
         return min(slacks)
 
 
-def field_report(ensemble: GibbsEnsemble, h: float, delta: float, densities=(),
-                 tol: float = 1e-9, seed: int | None = None,
+def field_report(blocks, h: float, d: int, delta: float, densities=(), seed: int | None = None,
                  replicate: int | None = None) -> tuple[TwoToOneReport, list[float]]:
-    """The grid two-to-one report of the ensemble's field at bin width ``h``,
-    asserted, and the integral of each density in ``densities``.
+    """The grid two-to-one report of a field at bin width ``h`` in dimension
+    ``d``, asserted, and the integral of each density in ``densities``.
 
-    Each block of slabs is reduced to per-slab sums as the kernel finishes
-    it.  A density maps field values to an array of their shape; its
-    integral is the time mean of its cell sums, the grid form of a
-    space-time integral over t.  A slack below -tol raises
+    ``blocks`` yields the field's (slabs, B) blocks of values m(k, b) in slab
+    order, such as ``_field_blocks(ensemble, h)``; each is reduced to
+    per-slab sums as it arrives.  A density maps field values to an array
+    of their shape; its integral is the time mean of its cell sums, the grid
+    form of a space-time integral over t.  A slack below -1e-9 raises
     ``InvariantViolationError`` carrying ``seed`` and ``replicate``.  The
     report holds the replica and favourite overlaps and the three delta-set
     measures at threshold ``delta`` in (0, 1/2]; the two tube measures are
@@ -350,9 +350,9 @@ def field_report(ensemble: GibbsEnsemble, h: float, delta: float, densities=(),
                  np.sum(m * (m <= delta), axis=1),
                  np.sum((1.0 - m) * (m >= 1.0 - delta), axis=1),
                  *(np.sum(density(m), axis=1) for density in densities))
-                for m in _field_blocks(ensemble, h)]
+                for m in blocks]
     maxima, mass, *sums = (np.concatenate(column) for column in zip(*per_slab))
-    cell = h ** ensemble.d
+    cell = h ** d
     r2, gap, middle, negligible, predominant, *integrals = (
         float(np.mean(s) * cell) for s in sums)
     time_mass = mass * cell
@@ -366,8 +366,8 @@ def field_report(ensemble: GibbsEnsemble, h: float, delta: float, densities=(),
         slack_middle=gap / (delta * (1.0 - delta)) - middle,
         slack_negligible=gap / (1.0 - delta) - negligible,
         slack_predominant=gap / (1.0 - delta) - predominant,
-        slack_left_d1=r2 - 0.5 * r_star ** 2 if ensemble.d == 1 else None)
-    if report.min_slack() < -tol:
+        slack_left_d1=r2 - 0.5 * r_star ** 2 if d == 1 else None)
+    if report.min_slack() < -1e-9:
         raise InvariantViolationError(
             f"grid two-to-one inequality violated: min slack {report.min_slack():.3e}",
             seed=seed, replicate=replicate)

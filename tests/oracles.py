@@ -10,8 +10,10 @@ whole-array two-to-one report are the oracles of the slab-streamed
 intensity-monotonicity slacks, runs the library's environment loop as an
 experiment no CLI mode offers: it checks that p(beta, nu) - p(beta, nu_lo)
 lies between beta (nu - nu_lo) and (e^beta - 1)(nu - nu_lo).  ``transfer_d1``
-is the exact reference in d = 1: ln Z, slab marginals and overlaps of one
-cloud by a transfer matrix on a grid, with no path sampled.
+is the exact reference in d = 1: ln Z, slab marginals and the occupancy field
+of one cloud by a transfer matrix on a grid, with no path sampled; its field
+goes through the library's ``polymer.field_report`` like the kernel's.
+``fixed_window`` is the window its tests draw their clouds on.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import numpy as np
 from scipy.special import betainc
 
 from poissonpolymer import polymer
-from poissonpolymer.environment import (_CHUNK_ELEMENTS, PointCloud, batch_tube_counts,
-                                        sample_poisson, slab_indices)
+from poissonpolymer.environment import (_CHUNK_ELEMENTS, PointCloud, SpaceTimeBox,
+                                        batch_tube_counts, sample_poisson, slab_indices)
 from poissonpolymer.errors import InvalidParameterError, InvariantViolationError
 from poissonpolymer.estimators import (EstimateWithError, ExperimentConfig, _mean_se,
                                        _over_environments)
@@ -274,22 +276,32 @@ def favourite_overlap_pathwise(ensemble, centers: np.ndarray) -> float:
     return float(ensemble.normalized_weights @ inside.mean(axis=1))
 
 
+def fixed_window(t: float) -> SpaceTimeBox:
+    """The d = 1 window +-(6 sqrt(t) + r_1 + 0.5) on [0, t], which covers every
+    path tube the exact-reference tests sample."""
+    half = 6 * math.sqrt(t) + unit_ball_radius(1) + 0.5
+    return SpaceTimeBox(t, (-half,), (half,))
+
+
 @dataclass(frozen=True, eq=False)
 class TransferD1:
     """``transfer_d1``'s output: ``marginals[k, j]`` is the Gibbs probability
-    that the path sits in the grid cell around ``grid[j]`` during slab k."""
+    that the path sits in the grid cell around ``grid[j]`` during slab k, and
+    ``field[k, j]`` that it lies within r_1 of ``grid[j]``.  The bins of
+    width h are centered on the multiples of h, the cells ``centers``, so
+    ``field[:, centers]`` is their field as ``polymer.field_report`` takes it."""
 
     log_z: float
     grid: np.ndarray         # (G,) cell centers, multiples of g
     marginals: np.ndarray    # (n_steps, G)
-    replica: float           # time mean of h sum_b m(k, b)^2
-    favourite: float         # time mean of max_b m(k, b)
+    field: np.ndarray        # (n_steps, G)
+    centers: slice           # the cells on multiples of h
 
 
 def transfer_d1(cloud: PointCloud, beta: float, t: float, n_steps: int, g: float,
                 h: float) -> TransferD1:
-    """ln Z, slab marginals and overlaps of the d = 1 slab-discretised walk
-    in one cloud, by a transfer matrix on the grid of step g in its window.
+    """ln Z, slab marginals and occupancy field of the d = 1 slab-discretised
+    walk in one cloud, by a transfer matrix on the grid of step g in its window.
 
     The walk sits at x_k during slab k, so its weight factorises over slabs:
     V_k(x) = prod_p (1 + lambda f_p(x)) over the points p of slab k, where
@@ -299,9 +311,9 @@ def transfer_d1(cloud: PointCloud, beta: float, t: float, n_steps: int, g: float
     ln Z is the sum of the log normalisers.  K_dt is the Gaussian of
     variance t / n_steps sampled on the grid out to 8 sd and renormalised;
     the backward pass applies it to V_{k+1} beta_{k+1}, and the slab
-    marginal is proportional to alpha_k V_k beta_k.  The field m(k, b) at a
-    bin center b h (every multiple of h that is a grid point) is the
-    marginal's cell-overlap weight in the ball about it.
+    marginal is proportional to alpha_k V_k beta_k.  The field m(k, x) at a
+    grid point x is the marginal's cell-overlap weight in the ball about x;
+    ``centers`` picks the grid points on multiples of h, the bin centers.
     """
     if cloud.box.d != 1 or not cloud.box.lo[0] <= 0.0 <= cloud.box.hi[0]:
         raise InvalidParameterError("transfer_d1 needs a d = 1 window around 0")
@@ -351,12 +363,11 @@ def transfer_d1(cloud: PointCloud, beta: float, t: float, n_steps: int, g: float
         backward = np.convolve(potential[k] * backward, kernel, mode="same")
         backward /= backward.max()
 
-    centers = np.flatnonzero((np.arange(n_cells) + first) % step == 0)
+    centers = slice(-first % step, None, step)
     ball = overlap(reach * g)
-    field = np.array([np.convolve(m, ball, mode="same")[centers] for m in marginals])
-    return TransferD1(log_z=log_z, grid=grid, marginals=marginals,
-                      replica=float(np.mean(np.sum(field * field, axis=1)) * h),
-                      favourite=float(np.mean(field.max(axis=1))))
+    field = np.array([np.convolve(m, ball, mode="same") for m in marginals])
+    return TransferD1(log_z=log_z, grid=grid, marginals=marginals, field=field,
+                      centers=centers)
 
 
 def nu_monotonicity(cfg: ExperimentConfig, nu_lo: float) -> dict[str, EstimateWithError]:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import random_gibbs_ensemble
-from oracles import nu_monotonicity, transfer_d1
+from oracles import fixed_window, nu_monotonicity, transfer_d1
 from poissonpolymer.analytics import (
     annealed_gap_integrand,
     annealed_rate,
@@ -24,7 +24,7 @@ from poissonpolymer.analytics import (
     drift_gap_integrand,
 )
 from poissonpolymer.cli import main
-from poissonpolymer.environment import PointCloud, SpaceTimeBox, sample_poisson
+from poissonpolymer.environment import PointCloud, sample_poisson
 from poissonpolymer.estimators import (
     EstimateWithError,
     ExperimentConfig,
@@ -34,7 +34,7 @@ from poissonpolymer.estimators import (
     quenched_free_energy,
 )
 from poissonpolymer.geometry import unit_ball_radius
-from poissonpolymer.polymer import field_report
+from poissonpolymer.polymer import _field_blocks, field_report
 from poissonpolymer.streams import substream
 
 SEED = 20260810
@@ -138,14 +138,14 @@ class TestCriterion4ExactGridInequalities:
     def test_hundred_random_ensembles(self):
         start = time.perf_counter()
         rng = np.random.default_rng(SEED)
-        worst = math.inf
+        worst, h = math.inf, unit_ball_radius(1) / 4
         for trial in range(100):
             beta = float(rng.uniform(-2.0, 2.0))
             nu = float(rng.uniform(0.5, 4.0))
             n_paths = int(rng.integers(8, 65))
             ens = random_gibbs_ensemble(seed=3000 + trial, beta=beta, nu=nu,
                                         t=2.0, n_steps=128, n_paths=n_paths)
-            rep, _ = field_report(ens, unit_ball_radius(1) / 4, delta=0.25, tol=1e-9,
+            rep, _ = field_report(_field_blocks(ens, h), h, 1, delta=0.25,
                                   seed=3000 + trial, replicate=trial)
             worst = min(worst, rep.min_slack())
         elapsed = time.perf_counter() - start
@@ -267,29 +267,33 @@ class TestCriterion8LocalizationTrend:
 @pytest.fixture(scope="module")
 def exact_overlaps():
     """Criterion 8's cells by the exact d = 1 transfer matrix: each cell's
-    replica overlap over 100 clouds from ("cloud", i) of SEED on the fixed
-    window +-(6 sqrt(t) + r_1 + 0.5), with criterion 8's bin width h = r_1 / 4
-    and grid step g = h / 4.  beta = 0 does not depend on the cloud, so it is
-    one empty-cloud call with SE 0.  Returns the cells and their seconds."""
+    replica overlap over 100 clouds from ("cloud", i) of SEED on
+    ``oracles.fixed_window``, with criterion 8's bin width h = r_1 / 4 and
+    grid step g = h / 4.  Each overlap is ``field_report``'s, which asserts
+    the grid two-to-one inequalities on the exact field.  beta = 0 does not
+    depend on the cloud, so it is one empty-cloud call with SE 0.  Returns
+    the cells and their seconds."""
     start = time.perf_counter()
-    t, n_steps, n_clouds, r = 4.0, 256, 100, unit_ball_radius(1)
-    h = r / 4
+    t, n_steps, n_clouds = 4.0, 256, 100
+    h = unit_ball_radius(1) / 4
     g = h / 4
-    half = 6 * math.sqrt(t) + r + 0.5
-    box = SpaceTimeBox(t, (-half,), (half,))
+    box = fixed_window(t)
+
+    def replica(cloud, beta):
+        exact = transfer_d1(cloud, beta, t, n_steps, g, h)
+        return field_report([exact.field[:, exact.centers]], h, 1, 0.25)[0].replica
+
     empty = PointCloud(times=np.empty(0), coords=np.empty((0, 1)), box=box)
-    cells = {(0.0, 1.0): EstimateWithError(
-        transfer_d1(empty, 0.0, t, n_steps, g, h).replica, 0.0, 1)}
+    cells = {(0.0, 1.0): EstimateWithError(replica(empty, 0.0), 0.0)}
     for nu, betas in ((1.0, (0.5, 1.0, 2.0)), (10.0, (0.5,)), (100.0, (0.5,))):
         replicas = np.empty((len(betas), n_clouds))
         for i in range(n_clouds):
             cloud = sample_poisson(box, nu, substream(SEED, "cloud", i))
             for j, beta in enumerate(betas):
-                replicas[j, i] = transfer_d1(cloud, beta, t, n_steps, g, h).replica
+                replicas[j, i] = replica(cloud, beta)
         for beta, values in zip(betas, replicas):
             cells[beta, nu] = EstimateWithError(
-                float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_clouds)),
-                n_clouds)
+                float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_clouds)))
     return cells, time.perf_counter() - start
 
 
@@ -304,6 +308,42 @@ class TestCriterion8ExactLocalizationTrend:
     def test_overlap_grows_with_intensity(self, exact_overlaps):
         cells, elapsed = exact_overlaps
         report_nu_trend("8-exact(nu-trend)", [cells[c] for c in NU_CELLS], elapsed)
+
+
+class TestClaimOneCurveSignExact:
+    """Claim (i)'s sign argument, exactly in d = 1.  Along a comparison curve
+    nu |lambda|^alpha = const the gap psi = nu lambda - p moves as
+    dpsi/dbeta = nu e^beta (alpha / lambda) I_alpha, where I_alpha is the
+    field integral of ``curve_kernel(alpha, lambda m)`` (time mean).  At
+    beta = 0.5, nu = 1, t = 4, n_steps = 256, for alpha in {1, 1.5, 2.5}
+    (alpha(0.5) = 1.7163 lies between them), the kernel has one strict sign
+    on (0, lambda], and the mean of dpsi/dbeta over 40 clouds from
+    ("cloud", i) of SEED on ``oracles.fixed_window`` has that sign by 3 SE.
+    I_alpha is ``field_report``'s integral over the exact field at every
+    grid cell of step g = 1/32, so with bin width h = g."""
+
+    def test_field_form_has_the_kernel_sign(self):
+        start = time.perf_counter()
+        beta, nu, t, n_steps, g, n_clouds = 0.5, 1.0, 4.0, 256, 1 / 32, 40
+        alphas, lam, box = np.array([1.0, 1.5, 2.5]), math.expm1(beta), fixed_window(t)
+        u = np.linspace(0.0, lam, 1001)[1:]
+        signs = np.array([np.sign(curve_kernel(alpha, u[0])) for alpha in alphas])
+        for alpha, sign in zip(alphas, signs):
+            assert np.all(sign * curve_kernel(alpha, u) > 0), alpha
+        densities = [lambda m, a=alpha: curve_kernel(a, lam * m) for alpha in alphas]
+        rates = np.empty((n_clouds, len(alphas)))
+        for i in range(n_clouds):
+            cloud = sample_poisson(box, nu, substream(SEED, "cloud", i))
+            exact = transfer_d1(cloud, beta, t, n_steps, g, g)
+            _, integrals = field_report([exact.field], g, 1, 0.25, densities)
+            rates[i] = nu * math.exp(beta) * alphas / lam * np.array(integrals)
+        means = rates.mean(axis=0)
+        ses = rates.std(axis=0, ddof=1) / math.sqrt(n_clouds)
+        elapsed = time.perf_counter() - start
+        report("claim(i)-exact", bool(np.all(signs * means > 3.0 * ses)),
+               "; ".join(f"alpha {a}: kernel {'+' if s > 0 else '-'}, dpsi/dbeta "
+                         f"{m:+.4f} +- {se:.4f}" for a, s, m, se in zip(alphas, signs, means, ses))
+               + f" [{elapsed:.2f}s]")
 
 
 class TestCriterion9Determinism:

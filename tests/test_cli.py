@@ -88,7 +88,7 @@ class TestConfigParsing:
 
     def test_cell_order_beta_major(self):
         raw = parse_config_text(
-            "nu = 1\nbeta = 0\ngrid.beta = 0,1\ngrid.t = 1,2\n"
+            "nu = 1\ngrid.beta = 0,1\ngrid.t = 1,2\n"
             "paths_per_env = 8\nn_envs = 2\n")
         _, cells = build_run_plan(raw, sweep=True)
         assert [(c.beta, c.t) for c in cells] == [(0, 1), (0, 2), (1, 1), (1, 2)]
@@ -137,6 +137,36 @@ class TestSimulate:
         assert main(["simulate", "--from-manifest", str(out1 / "manifest.json"),
                      "--out", str(out2)]) == 0
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+
+    def test_manifest_replay_keeps_the_seed_override(self, tmp_path):
+        # the manifest records master_seed 11, not the config's 9
+        config = write_config(tmp_path, MINIMAL.replace("beta = 0", "beta = 0.3"))
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["simulate", str(config), "--out", str(out1), "--seed", "11"]) == 0
+        assert main(["simulate", "--from-manifest", str(out1 / "manifest.json"),
+                     "--out", str(out2)]) == 0
+        assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+        assert json.loads((out1 / "manifest.json").read_text())["master_seed"] == 11
+
+    @pytest.mark.parametrize("seed", [{}, {"master_seed": "11"}, {"master_seed": 1.5},
+                                      {"master_seed": True}, {"master_seed": None}],
+                             ids=["absent", "string", "float", "bool", "null"])
+    def test_manifest_without_integer_seed_exit_code_2(self, tmp_path, capsys, seed):
+        text = json.dumps({"config_text": MINIMAL, **seed})
+        manifest = write_config(tmp_path, text, name="manifest.json")
+        out = tmp_path / "o"
+        assert main(["simulate", "--from-manifest", str(manifest), "--out", str(out)]) == 2
+        assert "'master_seed'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_and_manifest_together_exit_code_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, MINIMAL)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["simulate", str(config), "--out", str(out1)]) == 0
+        assert main(["simulate", str(config), "--from-manifest", str(out1 / "manifest.json"),
+                     "--out", str(out2)]) == 2
+        assert "--from-manifest" in capsys.readouterr().err
+        assert not out2.exists()
 
     def test_manifest_contents(self, tmp_path):
         config = write_config(tmp_path, MINIMAL)
@@ -294,7 +324,7 @@ class TestSimulate:
     def test_undefined_diagnostic_is_null(self, tmp_path, monkeypatch):
         def with_nan(cfg):
             return {"annealed_free_energy": EstimateWithError(
-                0.5, 0.1, 4, {"target": math.nan, "ess_degenerate": True})}
+                0.5, 0.1, {"target": math.nan, "ess_degenerate": True})}
 
         monkeypatch.setattr(cli, "annealed_free_energy", with_nan)
         text = MINIMAL.replace("quenched", "annealed")
@@ -425,6 +455,15 @@ class TestSweep:
             fields = csv_rows[observable]
             assert rows[observable]["value"] == float(fields[9])
             assert rows[observable]["std_error"] == float(fields[10])
+
+    @pytest.mark.parametrize("key", ["beta", "nu", "t"])
+    def test_key_and_its_grid_exit_code_2(self, tmp_path, capsys, key):
+        # the config's beta = 0 beside grid.beta would run only the grid's values
+        text = MINIMAL + f"grid.{key} = 0.1, 0.2\n"
+        out = tmp_path / "out"
+        assert main(["sweep", str(write_config(tmp_path, text)), "--out", str(out)]) == 2
+        assert f"'grid.{key}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_manifest_seed_follows_the_override(self, tmp_path):
         text = MINIMAL.replace("beta = 0\n", "grid.beta = 0, 0.5\n")

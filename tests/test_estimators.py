@@ -183,7 +183,7 @@ class TestAnnealedFreeEnergy:
         # annealed estimator samples no paths
         c = ExperimentConfig(d=1, beta=0.5, nu=1.0, t=1000.0, n_envs=20)
         est = annealed_free_energy(c)["annealed_free_energy"]
-        assert math.isfinite(est.value) and est.n_replicates == 20
+        assert math.isfinite(est.value)
 
     def test_path_stack_budget_checked_before_sampling(self, monkeypatch):
         def no_sampling(*args, **kwargs):

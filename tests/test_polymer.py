@@ -273,7 +273,7 @@ class TestOccupancyField:
     def test_invalid_bin_width(self):
         ens, _ = random_ensemble(seed=5)
         with pytest.raises(InvalidParameterError):
-            field_report(ens, 0.0, delta=0.25)
+            field_report(polymer._field_blocks(ens, 0.0), 0.0, ens.d, delta=0.25)
 
     # the window is exactly as wide as the tubes, so the balls reach its
     # partial edge bins and the stencil reaches past it; h = 1.3 r is > r_d
@@ -425,7 +425,7 @@ class TestDeltaSets:
         ens, fld = random_ensemble(seed=30)
         for bad in (0.0, -0.1, 0.6):
             with pytest.raises(InvalidParameterError):
-                field_report(ens, fld.h, bad)
+                field_report(polymer._field_blocks(ens, fld.h), fld.h, ens.d, bad)
             with pytest.raises(InvalidParameterError):
                 assert_two_to_one(fld, bad)
 
@@ -458,14 +458,13 @@ class TestTwoToOne:
         report = assert_two_to_one(fld, delta=0.25)
         assert report.slack_left_d1 >= -1e-9
 
-    def test_violation_raises_with_seed(self, monkeypatch):
+    def test_violation_raises_with_seed(self):
         # a doctored field of 2s, handed over in two blocks of slabs
         ens, fld = random_ensemble(seed=40)
         doctored = np.full_like(fld.values, 2.0)
-        monkeypatch.setattr(polymer, "_field_blocks",
-                            lambda ensemble, h: iter([doctored[:5], doctored[5:]]))
         with pytest.raises(InvariantViolationError) as err:
-            field_report(ens, fld.h, delta=0.25, seed=7, replicate=3)
+            field_report([doctored[:5], doctored[5:]], fld.h, ens.d, delta=0.25, seed=7,
+                         replicate=3)
         assert err.value.seed == 7 and err.value.replicate == 3
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -488,7 +487,7 @@ class TestTwoToOne:
             delta = (0.5, 0.25, 0.1)[case // 10]
             ens = edge_ensemble(d, h, rng, n_steps=int(rng.integers(1, 24)))
             monkeypatch.setattr(polymer, "_CHUNK_ELEMENTS", chunks[case % 4])
-            report, integrals = field_report(ens, h, delta, densities, tol=math.inf)
+            report, integrals = field_report(polymer._field_blocks(ens, h), h, d, delta, densities)
             fld = occupancy_field(ens, h)
             assert report == assert_two_to_one(fld, delta, tol=math.inf), case
             assert integrals == [fld.integral(f(fld.values)) for f in densities], case

@@ -2,9 +2,9 @@
 forms and against importance sampling on the same clouds.
 
 All use bin width h = 1/8 with bin centers on multiples of h, grid step
-g = h / 8 and the fixed window +-(6 sqrt(t) + r_1 + 0.5), which covers
-every path tube the tests sample; t = 4 and n_steps = 256 unless a test
-says otherwise.
+g = h / 8 and ``oracles.fixed_window``; t = 4 and n_steps = 256 unless a
+test says otherwise.  Overlaps come from the library's ``field_report``,
+which also asserts the grid two-to-one inequalities on the exact field.
 """
 
 import math
@@ -12,20 +12,14 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-from oracles import transfer_d1
-from poissonpolymer.environment import PointCloud, SpaceTimeBox, sample_poisson
+from oracles import fixed_window, transfer_d1
+from poissonpolymer.environment import PointCloud, sample_poisson
 from poissonpolymer.geometry import unit_ball_radius
-from poissonpolymer.polymer import build_ensemble, sample_paths
+from poissonpolymer.polymer import build_ensemble, field_report, sample_paths
 from poissonpolymer.streams import substream
 
 T, N_STEPS, H, G = 4.0, 256, 1 / 8, 1 / 64
 R = unit_ball_radius(1)
-
-
-def fixed_window(t):
-    return SpaceTimeBox(t, (-(6 * math.sqrt(t) + R + 0.5),), (6 * math.sqrt(t) + R + 0.5,))
-
-
 BOX = fixed_window(T)
 
 
@@ -37,6 +31,7 @@ def test_beta_zero_overlaps_match_the_closed_form():
     # and the replica overlap 0.245638)
     empty = PointCloud(times=np.empty(0), coords=np.empty((0, 1)), box=BOX)
     exact = transfer_d1(empty, 0.0, T, N_STEPS, G, H)
+    report, _ = field_report([exact.field[:, exact.centers]], H, 1, 0.25)
     centers = np.arange(-200, 201) * H
     spread = np.sqrt(np.arange(1, N_STEPS) * T / N_STEPS)[:, None]
     field = np.vstack([np.clip((R - np.abs(centers)) / G + 0.5, 0.0, 1.0),
@@ -44,8 +39,8 @@ def test_beta_zero_overlaps_match_the_closed_form():
     replica = float(np.mean(np.sum(field * field, axis=1)) * H)
     favourite = float(np.mean(field.max(axis=1)))
     assert abs(replica - 0.2449052) <= 1e-7 and abs(favourite - 0.3421524) <= 1e-7
-    assert abs(exact.replica - replica) <= 2e-5
-    assert abs(exact.favourite - favourite) <= 2e-5
+    assert abs(report.replica - replica) <= 2e-5
+    assert abs(report.favourite - favourite) <= 2e-5
     assert abs(exact.log_z) <= 1e-9
     assert np.allclose(exact.marginals.sum(axis=1), 1.0)
 
