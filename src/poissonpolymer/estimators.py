@@ -164,7 +164,6 @@ def _over_environments(cfg: ExperimentConfig, reduce, densities=None):
     """
     cfg.check_path_budget()
     rows, stats = [], []
-    min_slack = math.inf
     for i in range(cfg.n_envs):
         positions = sample_paths(cfg.t, cfg.n_steps, cfg.d, cfg.n_paths,
                                  substream(cfg.seed, "paths", i))
@@ -172,17 +171,16 @@ def _over_environments(cfg: ExperimentConfig, reduce, densities=None):
         box = SpaceTimeBox(cfg.t, *bounding_box_for(positions, extent))
         cloud = sample_poisson(box, cfg.nu, substream(cfg.seed, "cloud", i))
         ensemble = build_ensemble(positions, cfg.t, cloud, cfg.beta, extent)
-        stats.append((ensemble.ess, cloud.n_points, box.volume))
-        field = ()
+        field, slack = (), math.inf
         if densities is not None:
-            blocks = _field_blocks(ensemble, cfg.bin_width)
-            report, integrals = field_report(blocks, cfg.bin_width, cfg.d, cfg.delta, densities,
-                                             seed=cfg.seed, replicate=i)
-            field = (report, *integrals)
-            min_slack = min(min_slack, report.min_slack())
+            report, integrals = field_report(_field_blocks(ensemble, cfg.bin_width), cfg.bin_width,
+                                             cfg.d, cfg.delta, densities, seed=cfg.seed,
+                                             replicate=i)
+            field, slack = (report, *integrals), report.min_slack()
+        stats.append((ensemble.ess, cloud.n_points, box.volume, slack))
         rows.append(reduce(i, ensemble, *field))
         positions = cloud = ensemble = None  # none outlives its replicate
-    ess, points, volumes = np.array(stats).T
+    ess, points, volumes, slacks = np.array(stats).T
     ess.sort()  # for min and median; np.median would import numpy.ma, about 1.5 MB
     degenerate = bool(ess[0] < ESS_WARN_FRACTION * cfg.n_paths)
     if degenerate:
@@ -194,7 +192,7 @@ def _over_environments(cfg: ExperimentConfig, reduce, densities=None):
             "ess_median": float(ess[(len(ess) - 1) // 2] + ess[len(ess) // 2]) / 2,
             "points_mean": float(points.mean()), "window_volume_mean": float(volumes.mean())}
     return ([np.array(column) for column in zip(*rows)],
-            diag | ({"min_slack": float(min_slack)} if densities is not None else {}))
+            diag | ({"min_slack": float(slacks.min())} if densities is not None else {}))
 
 
 def quenched_free_energy(cfg: ExperimentConfig) -> dict[str, EstimateWithError]:

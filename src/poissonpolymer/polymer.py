@@ -296,34 +296,24 @@ def _field_blocks(ensemble: GibbsEnsemble, h: float):
 
 @dataclass(frozen=True)
 class TwoToOneReport:
-    """All sides of the exact grid two-to-one inequalities for one field.
+    """The localization observables of one field and ``slacks``, which maps
+    each exact grid two-to-one inequality to its slack (bound - quantity).
 
-    Every ``slack_*`` is (bound - quantity) and must be >= -1e-9 (roundoff);
-    the proofs are pointwise (Cauchy-Schwarz cell by cell), so they hold per
-    configuration, not just on average.  ``slack_left_d1`` uses the d = 1
-    covering constant 1/2 and is only populated in dimension one.
+    Every slack must be >= -1e-9 (roundoff); the proofs are pointwise
+    (Cauchy-Schwarz cell by cell), so they hold per configuration, not just
+    on average.  ``left_d1`` uses the d = 1 covering constant 1/2 and is a
+    key only in dimension one.
     """
 
     replica: float            # grid replica overlap
     favourite: float          # favourite overlap: mean of the per-slab maxima
-    gap: float                # time-averaged cell sum of m (1 - m)
-    mass_defect: float        # time-averaged |1 - per-slab mass|
     middle: float             # cell measure of {delta <= m <= 1 - delta}
     negligible: float         # Gibbs x cell measure of tube cells with m <= delta
     predominant: float        # same with m >= 1 - delta and the path outside
-    slack_right_mass: float   # sum_b m^2 h^d <= max_b m * slab mass
-    slack_one_minus: float    # 1 - favourite <= 1 - replica + mass defect
-    slack_middle: float
-    slack_negligible: float
-    slack_predominant: float
-    slack_left_d1: float | None
+    slacks: dict[str, float]
 
     def min_slack(self) -> float:
-        slacks = [self.slack_right_mass, self.slack_one_minus, self.slack_middle,
-                  self.slack_negligible, self.slack_predominant]
-        if self.slack_left_d1 is not None:
-            slacks.append(self.slack_left_d1)
-        return min(slacks)
+        return min(self.slacks.values())
 
 
 def field_report(blocks, h: float, d: int, delta: float, densities=(), seed: int | None = None,
@@ -333,14 +323,15 @@ def field_report(blocks, h: float, d: int, delta: float, densities=(), seed: int
 
     ``blocks`` yields the field's (slabs, B) blocks of values m(k, b) in slab
     order, such as ``_field_blocks(ensemble, h)``; each is reduced to
-    per-slab sums as it arrives.  A density maps field values to an array
-    of their shape; its integral is the time mean of its cell sums, the grid
-    form of a space-time integral over t.  A slack below -1e-9 raises
-    ``InvariantViolationError`` carrying ``seed`` and ``replicate``.  The
-    report holds the replica and favourite overlaps and the three delta-set
-    measures at threshold ``delta`` in (0, 1/2]; the two tube measures are
-    field sums because the Gibbs-weighted tube indicator at a bin center
-    *is* the field value there.
+    per-slab sums as it arrives, in C order whatever its layout.  A density
+    maps field values to an array of their shape; its integral is the time
+    mean of its cell sums, the grid form of a space-time integral over t.
+    A slack below -1e-9 raises ``InvariantViolationError`` naming its
+    inequality and carrying ``seed`` and ``replicate``.  The report holds the
+    replica and favourite overlaps and the three delta-set measures at
+    threshold ``delta`` in (0, 1/2]; the two tube measures are field sums
+    because the Gibbs-weighted tube indicator at a bin center *is* the field
+    value there.
     """
     if not (0.0 < delta <= 0.5):
         raise InvalidParameterError(f"delta must lie in (0, 1/2], got {delta}")
@@ -350,25 +341,25 @@ def field_report(blocks, h: float, d: int, delta: float, densities=(), seed: int
                  np.sum(m * (m <= delta), axis=1),
                  np.sum((1.0 - m) * (m >= 1.0 - delta), axis=1),
                  *(np.sum(density(m), axis=1) for density in densities))
-                for m in blocks]
+                for m in map(np.ascontiguousarray, blocks)]
     maxima, mass, *sums = (np.concatenate(column) for column in zip(*per_slab))
     cell = h ** d
-    r2, gap, middle, negligible, predominant, *integrals = (
+    r2, gap, middle, negligible, predominant, *integrals = (  # gap: time mean of m (1 - m)
         float(np.mean(s) * cell) for s in sums)
     time_mass = mass * cell
     r_star = float(np.mean(maxima))
-    mass_defect = float(np.mean(np.abs(1.0 - time_mass)))
-    report = TwoToOneReport(
-        replica=r2, favourite=r_star, gap=gap, mass_defect=mass_defect,
-        middle=middle, negligible=negligible, predominant=predominant,
-        slack_right_mass=float(np.mean(maxima * time_mass)) - r2,
-        slack_one_minus=(1.0 - r2 + mass_defect) - (1.0 - r_star),
-        slack_middle=gap / (delta * (1.0 - delta)) - middle,
-        slack_negligible=gap / (1.0 - delta) - negligible,
-        slack_predominant=gap / (1.0 - delta) - predominant,
-        slack_left_d1=r2 - 0.5 * r_star ** 2 if d == 1 else None)
+    mass_defect = float(np.mean(np.abs(1.0 - time_mass)))  # time mean of |1 - slab mass|
+    slacks = {
+        "right_mass": float(np.mean(maxima * time_mass)) - r2,  # sum_b m^2 h^d <= max_b m * mass
+        "one_minus": (1.0 - r2 + mass_defect) - (1.0 - r_star),  # 1 - r* <= 1 - r2 + defect
+        "middle": gap / (delta * (1.0 - delta)) - middle,
+        "negligible": gap / (1.0 - delta) - negligible,
+        "predominant": gap / (1.0 - delta) - predominant,
+        **({"left_d1": r2 - 0.5 * r_star ** 2} if d == 1 else {})}
+    report = TwoToOneReport(replica=r2, favourite=r_star, middle=middle, negligible=negligible,
+                            predominant=predominant, slacks=slacks)
     if report.min_slack() < -1e-9:
         raise InvariantViolationError(
-            f"grid two-to-one inequality violated: min slack {report.min_slack():.3e}",
-            seed=seed, replicate=replicate)
+            f"grid two-to-one inequality '{min(slacks, key=slacks.get)}' violated: "
+            f"slack {report.min_slack():.3e}", seed=seed, replicate=replicate)
     return report, integrals

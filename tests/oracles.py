@@ -94,11 +94,11 @@ def occupancy_field(ensemble, h: float) -> OccupancyField:
                           time_mass=time_mass)
 
 
-def assert_two_to_one(fld: OccupancyField, delta: float, tol: float = 1e-9,
-                      seed: int | None = None,
+def assert_two_to_one(fld: OccupancyField, delta: float, seed: int | None = None,
                       replicate: int | None = None) -> TwoToOneReport:
     """The grid two-to-one report from whole-array reductions of one field,
-    asserted: the route the library took before it streamed the field."""
+    asserted (a slack below -1e-9 raises): the route the library took before
+    it streamed the field."""
     if not (0.0 < delta <= 0.5):
         raise InvalidParameterError(f"delta must lie in (0, 1/2], got {delta}")
     m = fld.values
@@ -110,16 +110,16 @@ def assert_two_to_one(fld: OccupancyField, delta: float, tol: float = 1e-9,
     middle = fld.integral((m >= delta) & (m <= 1.0 - delta))
     negligible = fld.integral(m * (m <= delta))
     predominant = fld.integral((1.0 - m) * (m >= 1.0 - delta))
-    report = TwoToOneReport(
-        replica=r2, favourite=r_star, gap=gap, mass_defect=mass_defect,
-        middle=middle, negligible=negligible, predominant=predominant,
-        slack_right_mass=float(np.mean(maxima * fld.time_mass)) - r2,
-        slack_one_minus=(1.0 - r2 + mass_defect) - (1.0 - r_star),
-        slack_middle=gap / (delta * (1.0 - delta)) - middle,
-        slack_negligible=gap / (1.0 - delta) - negligible,
-        slack_predominant=gap / (1.0 - delta) - predominant,
-        slack_left_d1=r2 - 0.5 * r_star ** 2 if fld.centers.shape[1] == 1 else None)
-    if report.min_slack() < -tol:
+    slacks = {"right_mass": float(np.mean(maxima * fld.time_mass)) - r2,
+              "one_minus": (1.0 - r2 + mass_defect) - (1.0 - r_star),
+              "middle": gap / (delta * (1.0 - delta)) - middle,
+              "negligible": gap / (1.0 - delta) - negligible,
+              "predominant": gap / (1.0 - delta) - predominant}
+    if fld.centers.shape[1] == 1:
+        slacks["left_d1"] = r2 - 0.5 * r_star ** 2
+    report = TwoToOneReport(replica=r2, favourite=r_star, middle=middle, negligible=negligible,
+                            predominant=predominant, slacks=slacks)
+    if report.min_slack() < -1e-9:
         raise InvariantViolationError(
             f"grid two-to-one inequality violated: min slack {report.min_slack():.3e}",
             seed=seed, replicate=replicate)

@@ -244,70 +244,94 @@ def report_nu_trend(cid, overlaps, elapsed):
            f"nu=100 overlap {overlaps[-1].value:.4f} >= 0.5 [{elapsed:.0f}s]")
 
 
+def is_overlaps(cells, seed=SEED):
+    """Criterion 8's IS replica overlap of each (beta, nu) cell."""
+    return [localization_scan(
+        ExperimentConfig(d=1, beta=b, nu=nu, t=4.0, n_steps=256,
+                         n_paths=500, n_envs=100, seed=seed))["replica_overlap"]
+        for b, nu in cells]
+
+
 class TestCriterion8LocalizationTrend:
     """Directional localization checks at desk scale (finite t only)."""
 
-    def overlaps(self, cells):
-        return [localization_scan(
-            ExperimentConfig(d=1, beta=b, nu=nu, t=4.0, n_steps=256,
-                             n_paths=500, n_envs=100, seed=SEED))["replica_overlap"]
-            for b, nu in cells]
-
     def test_overlap_nondecreasing_in_beta(self):
         start = time.perf_counter()
-        overlaps = self.overlaps(BETA_CELLS)
+        overlaps = is_overlaps(BETA_CELLS)
         report_beta_trend("8(beta-trend)", overlaps, time.perf_counter() - start)
 
     def test_overlap_grows_with_intensity(self):
         start = time.perf_counter()
-        overlaps = self.overlaps(NU_CELLS)
+        overlaps = is_overlaps(NU_CELLS)
         report_nu_trend("8(nu-trend)", overlaps, time.perf_counter() - start)
 
 
-@pytest.fixture(scope="module")
-def exact_overlaps():
+def exact_cells(seed=SEED):
     """Criterion 8's cells by the exact d = 1 transfer matrix: each cell's
-    replica overlap over 100 clouds from ("cloud", i) of SEED on
-    ``oracles.fixed_window``, with criterion 8's bin width h = r_1 / 4 and
-    grid step g = h / 4.  Each overlap is ``field_report``'s, which asserts
-    the grid two-to-one inequalities on the exact field.  beta = 0 does not
-    depend on the cloud, so it is one empty-cloud call with SE 0.  Returns
-    the cells and their seconds."""
-    start = time.perf_counter()
+    replica and favourite overlaps over 100 clouds from ("cloud", i) of
+    ``seed`` on ``oracles.fixed_window``, with criterion 8's bin width
+    h = r_1 / 4 and grid step g = h / 4.  Both overlaps come from one
+    ``field_report``, which asserts the grid two-to-one inequalities on the
+    exact field.  beta = 0 does not depend on the cloud, so it is one
+    empty-cloud call with SE 0.  Returns {"replica": cells, "favourite": cells}."""
     t, n_steps, n_clouds = 4.0, 256, 100
     h = unit_ball_radius(1) / 4
     g = h / 4
     box = fixed_window(t)
 
-    def replica(cloud, beta):
+    def overlaps(cloud, beta):
         exact = transfer_d1(cloud, beta, t, n_steps, g, h)
-        return field_report([exact.field[:, exact.centers]], h, 1, 0.25)[0].replica
+        rep = field_report([exact.field[:, exact.centers]], h, 1, 0.25)[0]
+        return rep.replica, rep.favourite
 
     empty = PointCloud(times=np.empty(0), coords=np.empty((0, 1)), box=box)
-    cells = {(0.0, 1.0): EstimateWithError(replica(empty, 0.0), 0.0)}
+    cells = {"replica": {}, "favourite": {}}
+    for name, value in zip(cells, overlaps(empty, 0.0)):
+        cells[name][0.0, 1.0] = EstimateWithError(value, 0.0)
     for nu, betas in ((1.0, (0.5, 1.0, 2.0)), (10.0, (0.5,)), (100.0, (0.5,))):
-        replicas = np.empty((len(betas), n_clouds))
+        values = np.empty((2, len(betas), n_clouds))
         for i in range(n_clouds):
-            cloud = sample_poisson(box, nu, substream(SEED, "cloud", i))
+            cloud = sample_poisson(box, nu, substream(seed, "cloud", i))
             for j, beta in enumerate(betas):
-                replicas[j, i] = replica(cloud, beta)
-        for beta, values in zip(betas, replicas):
-            cells[beta, nu] = EstimateWithError(
-                float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_clouds)))
+                values[:, j, i] = overlaps(cloud, beta)
+        for name, per_beta in zip(cells, values):
+            for beta, v in zip(betas, per_beta):
+                cells[name][beta, nu] = EstimateWithError(
+                    float(v.mean()), float(v.std(ddof=1) / math.sqrt(n_clouds)))
+    return cells
+
+
+@pytest.fixture(scope="module")
+def exact_overlaps():
+    """``exact_cells`` of SEED and their seconds."""
+    start = time.perf_counter()
+    cells = exact_cells()
     return cells, time.perf_counter() - start
 
 
 class TestCriterion8ExactLocalizationTrend:
-    """Criterion 8's cells and tolerances on exact d = 1 replica overlaps
-    (``exact_overlaps``); the reported seconds are those of all six cells."""
+    """Criterion 8's cells and tolerances on exact d = 1 replica and
+    favourite overlaps (``exact_overlaps``); the reported seconds are those
+    of all six cells."""
 
     def test_overlap_nondecreasing_in_beta(self, exact_overlaps):
         cells, elapsed = exact_overlaps
-        report_beta_trend("8-exact(beta-trend)", [cells[c] for c in BETA_CELLS], elapsed)
+        report_beta_trend("8-exact(beta-trend)", [cells["replica"][c] for c in BETA_CELLS],
+                          elapsed)
 
     def test_overlap_grows_with_intensity(self, exact_overlaps):
         cells, elapsed = exact_overlaps
-        report_nu_trend("8-exact(nu-trend)", [cells[c] for c in NU_CELLS], elapsed)
+        report_nu_trend("8-exact(nu-trend)", [cells["replica"][c] for c in NU_CELLS], elapsed)
+
+    def test_favourite_nondecreasing_in_beta(self, exact_overlaps):
+        cells, elapsed = exact_overlaps
+        report_beta_trend("8-exact-favourite(beta-trend)",
+                          [cells["favourite"][c] for c in BETA_CELLS], elapsed)
+
+    def test_favourite_grows_with_intensity(self, exact_overlaps):
+        cells, elapsed = exact_overlaps
+        report_nu_trend("8-exact-favourite(nu-trend)",
+                        [cells["favourite"][c] for c in NU_CELLS], elapsed)
 
 
 class TestClaimOneCurveSignExact:
@@ -315,16 +339,17 @@ class TestClaimOneCurveSignExact:
     nu |lambda|^alpha = const the gap psi = nu lambda - p moves as
     dpsi/dbeta = nu e^beta (alpha / lambda) I_alpha, where I_alpha is the
     field integral of ``curve_kernel(alpha, lambda m)`` (time mean).  At
-    beta = 0.5, nu = 1, t = 4, n_steps = 256, for alpha in {1, 1.5, 2.5}
+    beta = 0.5, nu = 1 and n_steps = 64 t, for alpha in {1, 1.5, 2.5}
     (alpha(0.5) = 1.7163 lies between them), the kernel has one strict sign
-    on (0, lambda], and the mean of dpsi/dbeta over 40 clouds from
-    ("cloud", i) of SEED on ``oracles.fixed_window`` has that sign by 3 SE.
-    I_alpha is ``field_report``'s integral over the exact field at every
-    grid cell of step g = 1/32, so with bin width h = g."""
+    on (0, lambda], and the mean of dpsi/dbeta over the clouds from
+    ("cloud", i) of SEED on ``oracles.fixed_window`` has that sign by 3 SE:
+    40 clouds at t = 4, 20 at t = 16.  I_alpha is ``field_report``'s
+    integral over the exact field at every grid cell of step g = 1/32, so
+    with bin width h = g."""
 
-    def test_field_form_has_the_kernel_sign(self):
+    def check_sign(self, cid, t, n_clouds):
         start = time.perf_counter()
-        beta, nu, t, n_steps, g, n_clouds = 0.5, 1.0, 4.0, 256, 1 / 32, 40
+        beta, nu, n_steps, g = 0.5, 1.0, round(64 * t), 1 / 32
         alphas, lam, box = np.array([1.0, 1.5, 2.5]), math.expm1(beta), fixed_window(t)
         u = np.linspace(0.0, lam, 1001)[1:]
         signs = np.array([np.sign(curve_kernel(alpha, u[0])) for alpha in alphas])
@@ -340,10 +365,16 @@ class TestClaimOneCurveSignExact:
         means = rates.mean(axis=0)
         ses = rates.std(axis=0, ddof=1) / math.sqrt(n_clouds)
         elapsed = time.perf_counter() - start
-        report("claim(i)-exact", bool(np.all(signs * means > 3.0 * ses)),
+        report(cid, bool(np.all(signs * means > 3.0 * ses)),
                "; ".join(f"alpha {a}: kernel {'+' if s > 0 else '-'}, dpsi/dbeta "
                          f"{m:+.4f} +- {se:.4f}" for a, s, m, se in zip(alphas, signs, means, ses))
                + f" [{elapsed:.2f}s]")
+
+    def test_field_form_has_the_kernel_sign(self):
+        self.check_sign("claim(i)-exact", 4.0, 40)
+
+    def test_field_form_has_the_kernel_sign_at_t16(self):
+        self.check_sign("claim(i)-exact(t=16)", 16.0, 20)
 
 
 class TestCriterion9Determinism:
