@@ -34,10 +34,10 @@ __all__ = [
 # One chunk's (M, chunk, d) float64 difference array in ``batch_tube_counts``
 # holds at most this many elements (512 KiB): a gather of every live point at
 # once would cost M * n_points * d doubles, hundreds of MB at nu = 100.
-# ``polymer._field_blocks`` takes chunks of ``_CHUNK_ELEMENTS // (2R + 1)^d``
-# (slab, path) pairs, so a chunk's stencil bins stay under it too (in d = 1 it
-# expands one run per group of pairs that share it, far fewer entries), and
-# ``polymer.sample_paths`` draws the increments of as many paths at a time.
+# ``polymer._field_blocks`` takes ``_CHUNK_ELEMENTS // (2R + 1)^d`` (slab, path)
+# pairs per chunk in d >= 2, so its stencil bins stay under it, and in d = 1,
+# which expands one run per group of pairs that share it, the whole slabs in a
+# quarter of it; ``polymer.sample_paths`` draws about as many increments at once.
 _CHUNK_ELEMENTS = 2 ** 16
 
 # Budget of expected points nu * |box| per cloud (80 MB per coordinate), checked before

@@ -14,19 +14,19 @@ the continuum is grid-max vs continuum-sup and cell sums vs integrals.
 That is what makes the grid two-to-one inequalities below exact (slack
 bounded by roundoff), not merely asymptotic.  On the last axis a stencil
 row's inside bins are one run (the distance to the centers falls, then
-rises).  Each end of the run is estimated from the chord half-width and
-pushed half a bin outward, so one ball test per end finds it exactly.  In
-d = 1 a slab is one row, and the paths that share a run are merged into one
-weight before it is expanded; in d >= 2 a path's runs differ from row to
-row, so each inside bin stays one entry.
+rises): each end is estimated from the chord half-width, in d = 1 from
+u = (x - lo) / h alone, pushed half a bin outward and settled by one ball
+test.  In d = 1 a slab is one row, and the paths that share a run are merged
+into one weight before it is expanded; in d >= 2 a path's runs differ from
+row to row, so each inside bin stays one entry.
 
 The field is reduced slab block by slab block and never held whole.  The
 kernel fills a buffer of min(n_steps, max(2^16 // B, ceil(c / M) + 1))
-slabs of B bins, where a chunk holds c = 2^16 // (2R + 1)^d of the
-(slab, path) pairs, and hands over its finished rows; ``field_report``
-reduces each block to per-slab sums before the kernel goes on; it reads
-only blocks, so an exact field's will do.  The whole (n_steps, B) field and
-its whole-array report are test oracles, in ``tests/oracles.py``.
+slabs of B bins, where a chunk holds c (slab, path) pairs: 2^16 // (2R + 1)^d
+in d >= 2, and in d = 1 the whole slabs in 2^14 pairs (2^14 when M > 2^14).
+It hands over its finished rows, and ``field_report``, which reads only
+blocks (an exact field's will do), reduces each to per-slab sums before the
+kernel goes on.  Whole fields and their reports are oracles in ``tests/``.
 
 The localization observables are reductions of the field alone, collected
 by ``field_report``.  The favourite overlap, the Gibbs-mean fraction
@@ -206,16 +206,19 @@ def _field_blocks(ensemble: GibbsEnsemble, h: float):
     one run.  The chord half-width sqrt(r_d**2 - rows) puts each end within
     rounding of the true one; pushed half a bin outward, the estimate is the
     exact end or its inner neighbour, and that same test on the estimate
-    alone decides which.  A chunk's (slab, path) pairs are paths p0..p1 - 1
-    of one or more consecutive slabs k, so their positions and weights are
-    copied as the segments ``positions[p0:p1, k]`` and ``w[p0:p1]``.
-    Entries run slab, path, row, bin and are accumulated by one ``bincount``
-    per chunk, so every bin adds its paths in increasing path index.  In
-    d = 1 the chunk's pairs are first summed, in path order, into one weight
-    per (L, first) group of those whose run is bins first..first + L - 1, and
-    the entries run in increasing (L, first).  Either way bins covered by the
-    same paths add the same terms in the same order: they hold bit-identical
-    values.  Merging per row in d >= 2 would group paths differently by row.
+    alone decides which.  In d = 1 (``rows`` = 0) the estimates
+    ceil(u - (r_d / h + 1)) and floor(u + r_d / h), u = (x - lo) / h, differ
+    from the chord forms by rounding alone, far inside the push, so each exact
+    end is still the estimate or its inner neighbour.  A chunk is
+    ``_CHUNK_ELEMENTS // (2R + 1)^d`` (slab, path) pairs in d >= 2, and in
+    d = 1 the whole slabs in Q = ``_CHUNK_ELEMENTS // 4`` pairs (Q pairs if
+    M > Q); its pairs are paths p0..p1 - 1 of consecutive slabs k, copied as
+    the segments ``positions[p0:p1, k]`` and ``w[p0:p1]``.  Entries run slab,
+    path, row, bin into one ``bincount`` per chunk, so every bin adds its
+    paths in increasing path index; in d = 1 the pairs are first summed, in
+    path order, per (L, first) group of runs first..first + L - 1, and the
+    groups are taken in increasing (L, first).  So bins covered by the same
+    paths add the same terms in the same order: bit-identical values.
 
     Bins are in lexicographic order.  The rows live in a buffer of ``span``
     slabs (the block bound of the module docstring).  Chunks run slab-major,
@@ -240,6 +243,8 @@ def _field_blocks(ensemble: GibbsEnsemble, h: float):
     offsets = np.arange(-reach, reach + 1)
     w = ensemble.normalized_weights
     chunk = max(1, _CHUNK_ELEMENTS // len(offsets) ** d)
+    if d == 1:  # no per-bin entries: the whole slabs in Q pairs, or Q pairs of one
+        chunk = max(1, _CHUNK_ELEMENTS // 4 // n_paths * n_paths or _CHUNK_ELEMENTS // 4)
     span = min(n, max(_CHUNK_ELEMENTS // n_bins, math.ceil(chunk / n_paths) + 1))
     values, base = np.zeros((span, n_bins)), 0  # base: the slab of the buffer's first row
     # last-axis centers; bins -1 and shape[-1] read the inf
@@ -271,11 +276,18 @@ def _field_blocks(ensemble: GibbsEnsemble, h: float):
         # last axis: each row's run of inside bins, from ends pushed half a bin
         # outward, so that each exact end is the estimate or its inner neighbour
         xl = x[:, -1].reshape((-1,) + (1,) * (d - 1))
-        half = np.sqrt(np.maximum(r * r - rows, 0.0))
-        jl = np.clip(np.ceil((xl - half - lo[-1]) / h - 1.0), 0, shape[-1]).astype(np.int64)
-        jr = np.clip(np.floor((xl + half - lo[-1]) / h), -1, shape[-1] - 1).astype(np.int64)
-        jl += rows + (xl - last[jl]) ** 2 > r * r
-        jr -= rows + (xl - last[jr]) ** 2 > r * r
+        if d == 1:  # no outer sum: the ends from u = (x - lo) / h alone
+            u = (xl - lo[0]) / h
+            jl = np.clip(np.ceil(u - (r / h + 1.0)), 0, shape[0]).astype(np.int64)
+            jr = np.clip(np.floor(u + r / h), -1, shape[0] - 1).astype(np.int64)
+            jl += (xl - last[jl]) ** 2 > r * r
+            jr -= (xl - last[jr]) ** 2 > r * r
+        else:
+            half = np.sqrt(np.maximum(r * r - rows, 0.0))
+            jl = np.clip(np.ceil((xl - half - lo[-1]) / h - 1.0), 0, shape[-1]).astype(np.int64)
+            jr = np.clip(np.floor((xl + half - lo[-1]) / h), -1, shape[-1] - 1).astype(np.int64)
+            jl += rows + (xl - last[jl]) ** 2 > r * r
+            jr -= rows + (xl - last[jr]) ** 2 > r * r
         count, first = np.maximum(jr - jl + 1, 0).ravel(), (flat + jl).ravel()
         if d == 1:
             # keyed (L - low, first); an empty run's first may be one past the bins

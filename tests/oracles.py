@@ -143,13 +143,15 @@ def occupancy_field_candidates(ensemble, h: float,
     """Field values (n_steps, B) from ball tests of every candidate bin.
 
     Each (slab, path) pair is tested against all ``(2R + 1)^d`` bins around
-    the bin holding it, ``R = ceil(r_d / h) + 1``, in chunks of
-    ``chunk_elements // (2R + 1)^d`` pairs.  In d >= 2 the kept entries, in
-    slab, path, stencil-offset order, feed one ``bincount`` per chunk.  In
-    d = 1 a pair's kept bins are one run of L bins from ``first``: the
-    chunk's pairs are summed, in pair order, into one weight per
-    (L, slab, first) group, and the groups, in sorted order, are added bin
-    by bin.  ``polymer._field_blocks`` copies each chunk's positions slab
+    the bin holding it, ``R = ceil(r_d / h) + 1``.  In d >= 2 a chunk holds
+    ``chunk_elements // (2R + 1)^d`` pairs and the kept entries, in slab,
+    path, stencil-offset order, feed one ``bincount`` per chunk.  In d = 1,
+    with ``Q = chunk_elements // 4``, a chunk holds the most whole slabs of
+    M pairs that fit in Q, or Q pairs of one slab when it holds more, and
+    never less than one pair; a pair's kept bins are one run of L bins from
+    ``first``: the chunk's pairs are summed, in pair order, into one weight
+    per (L, slab, first) group, and the groups, in sorted order, are added
+    bin by bin.  ``polymer._field_blocks`` copies each chunk's positions slab
     segment by slab segment and makes one ball test per end of each row's
     run of inside bins, at its estimate pushed half a bin outward, but keeps
     these sums, their order and the chunks, so it must equal this bit for
@@ -167,6 +169,9 @@ def occupancy_field_candidates(ensemble, h: float,
     w = ensemble.normalized_weights
     values = np.zeros((n, n_bins))
     chunk = max(1, chunk_elements // len(offsets) ** d)
+    if d == 1:
+        q = chunk_elements // 4
+        chunk = max(1, q if q < n_paths else n_paths * (q // n_paths))
     for start in range(0, n * n_paths, chunk):
         pair = np.arange(start, min(start + chunk, n * n_paths))
         slab, path = np.divmod(pair, n_paths)

@@ -286,7 +286,8 @@ class TestOccupancyField:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_chunk_loop_matches_dense_oracle(self, d, monkeypatch):
         # at h = r/4 the stencil is 11 bins per axis: seven (slab, path)
-        # pairs per chunk, so chunks straddle slabs of 24 paths
+        # pairs per chunk in d >= 2 and 7 * 11 // 4 = 19 in d = 1, so chunks
+        # straddle slabs of 24 paths
         monkeypatch.setattr(polymer, "_CHUNK_ELEMENTS", 7 * 11 ** d)
         ens = tight_ensemble(d, 24, seed=50 + d)
         assert_matches_dense(ens, unit_ball_radius(d) / 4.0)
@@ -312,7 +313,8 @@ class TestOccupancyField:
         assert filled >= 50
         # run ends on a half-integer bin index and rows tangent to the ball,
         # in whole-field chunks and in chunks of three pairs, which split
-        # each slab of 10 paths over four chunks
+        # each slab of 10 paths over four chunks (in d = 1 the bound gives
+        # chunks of 5, 8 or 10 pairs)
         tangent = 0
         for case in range(30):
             h = (0.125, 0.25, 0.5)[case % 3] * r
@@ -332,6 +334,25 @@ class TestOccupancyField:
             monkeypatch.setattr(polymer, "_CHUNK_ELEMENTS", chunk)
             values = occupancy_field(ens, h).values
             assert np.array_equal(values, occupancy_field_candidates(ens, h, chunk)), case
+
+    def test_d1_field_does_not_depend_on_whole_slab_chunks(self, monkeypatch):
+        # a d = 1 chunk of whole slabs merges each slab's pairs on that slab's
+        # bins alone, so every chunk bound that keeps the slabs whole (one,
+        # four or all slabs per chunk; 16 M + 12 floors to four) gives the same
+        # field bit for bit
+        r = unit_ball_radius(1)
+        rng = np.random.default_rng(97)
+        for case in range(24):
+            h = (0.125, 0.25, 0.3, 1.3)[case % 4] * r
+            n_paths = int(rng.integers(1, 60))
+            ens = (edge_ensemble(1, h, rng, n_steps=int(rng.integers(1, 24)), n_paths=n_paths)
+                   if case % 2 else random_gibbs_ensemble(case, n_paths=n_paths))
+            fields = []
+            for chunk in (4 * n_paths, 16 * n_paths + 12, 2 ** 16):
+                monkeypatch.setattr(polymer, "_CHUNK_ELEMENTS", chunk)
+                fields.append(occupancy_field(ens, h).values)
+            assert fields[0].any(), case
+            assert all(np.array_equal(fields[0], f) for f in fields[1:]), case
 
     @pytest.mark.parametrize("d, seed, n_paths", [(1, 3, 500), (1, 4, 60), (2, 1, 500)])
     def test_same_paths_give_bit_identical_values(self, d, seed, n_paths):
@@ -472,9 +493,10 @@ class TestTwoToOne:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_streamed_report_equals_whole_field_oracle(self, d, monkeypatch):
         # every report field and density integral, bit for bit, over blocks
-        # from one slab up to the whole field and chunks straddling block edges
+        # from one slab up to the whole field and chunks straddling block
+        # edges; 28 makes d = 1 chunks of seven pairs, which split its slabs
         rng = np.random.default_rng(90 + d)
-        chunks = (2 ** 16, 1, 7 * 11 ** d, 50)
+        chunks = (2 ** 16, 1, 7 * 11 ** d, 50, 28)
         densities = (lambda m: m / _tilt(0.7, m), lambda m: _log_tilt(0.7, m))
         kernel, block_slabs = polymer._field_blocks, []
 
@@ -488,7 +510,7 @@ class TestTwoToOne:
             h = (0.25, 0.3, 1.3)[case % 3] * unit_ball_radius(d)
             delta = (0.5, 0.25, 0.1)[case // 10]
             ens = edge_ensemble(d, h, rng, n_steps=int(rng.integers(1, 24)))
-            monkeypatch.setattr(polymer, "_CHUNK_ELEMENTS", chunks[case % 4])
+            monkeypatch.setattr(polymer, "_CHUNK_ELEMENTS", chunks[case % 5])
             report, integrals = field_report(polymer._field_blocks(ens, h), h, d, delta, densities)
             fld = occupancy_field(ens, h)
             assert report == assert_two_to_one(fld, delta), case
