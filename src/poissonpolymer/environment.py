@@ -34,10 +34,10 @@ __all__ = [
 # One chunk's (M, chunk, d) float64 difference array in ``batch_tube_counts``
 # holds at most this many elements (512 KiB): a gather of every live point at
 # once would cost M * n_points * d doubles, hundreds of MB at nu = 100.
-# ``polymer._field_blocks`` takes ``_CHUNK_ELEMENTS // (2R + 1)^d`` (slab, path)
-# pairs per chunk in d >= 2, so its stencil bins stay under it, and in d = 1,
-# which expands one run per group of pairs that share it, the whole slabs in a
-# quarter of it; ``polymer.sample_paths`` draws about as many increments at once.
+# ``polymer._field_blocks`` takes chunks of at most ``_CHUNK_ELEMENTS // (4 (2R + 1)^(d - 1))``
+# (slab, path) pairs in every d, a quarter of it in stencil rows, and blocks of
+# about ``_CHUNK_ELEMENTS`` bins, never less than one chunk's slabs;
+# ``polymer.sample_paths`` draws about as many increments at once.
 _CHUNK_ELEMENTS = 2 ** 16
 
 # Budget of expected points nu * |box| per cloud (80 MB per coordinate), checked before
@@ -58,11 +58,11 @@ class SpaceTimeBox:
         hi = tuple(float(v) for v in np.atleast_1d(self.hi))
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        if self.t_max <= 0:
+        if not self.t_max > 0:
             raise InvalidParameterError(f"t_max must be positive, got {self.t_max}")
         if len(lo) != len(hi):
             raise InvalidParameterError("lo and hi must have the same dimension")
-        if any(h <= l for l, h in zip(lo, hi)):
+        if not all(h > l for l, h in zip(lo, hi)):
             raise InvalidParameterError("box must satisfy hi > lo componentwise")
         with np.errstate(over="ignore"):  # an infinite volume fails the point budget
             volume = self.t_max * float(np.prod(np.asarray(hi) - np.asarray(lo)))
@@ -84,9 +84,10 @@ class PointCloud:
     def __post_init__(self):
         times = np.atleast_1d(np.array(self.times, dtype=float))
         coords = np.array(self.coords, dtype=float).reshape(len(times), self.box.d)
-        if len(times) and (times.min() <= 0 or times.max() > self.box.t_max):
+        # each check is the negation of the good case, so that a NaN fails it
+        if len(times) and not (times.min() > 0 and times.max() <= self.box.t_max):
             raise InvalidParameterError("point times must lie in (0, t_max]")
-        if len(times) and (np.any(coords < self.box.lo) or np.any(coords > self.box.hi)):
+        if len(times) and not (np.all(coords >= self.box.lo) and np.all(coords <= self.box.hi)):
             raise InvalidParameterError("point coordinates must lie inside the box")
         times.setflags(write=False)
         coords.setflags(write=False)

@@ -20,11 +20,12 @@ test.  In d = 1 a slab is one row, and the paths that share a run are merged
 into one weight before it is expanded; in d >= 2 a path's runs differ from
 row to row, so each inside bin stays one entry.
 
-The field is reduced slab block by slab block and never held whole.  The
-kernel fills a buffer of min(n_steps, max(2^16 // B, ceil(c / M) + 1))
-slabs of B bins, where a chunk holds c (slab, path) pairs: 2^16 // (2R + 1)^d
-in d >= 2, and in d = 1 the whole slabs in 2^14 pairs (2^14 when M > 2^14).
-It hands over its finished rows, and ``field_report``, which reads only
+The field is reduced slab block by slab block and never held whole.  In
+every d a chunk is the whole slabs of M paths that fit in
+Q = 2^16 // (4 (2R + 1)^(d - 1)) (slab, path) pairs, at most a quarter of
+2^16 stencil rows, or Q paths of one slab when M > Q.  A block is
+s max(1, 2^16 // (B s)) slabs of B bins, for chunks of s slabs, filled by
+whole chunks and then handed over; ``field_report``, which reads only
 blocks (an exact field's will do), reduces each to per-slab sums before the
 kernel goes on.  Whole fields and their reports are oracles in ``tests/``.
 
@@ -38,6 +39,7 @@ and no tie rule between equal maxima, is needed.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -209,24 +211,21 @@ def _field_blocks(ensemble: GibbsEnsemble, h: float):
     alone decides which.  In d = 1 (``rows`` = 0) the estimates
     ceil(u - (r_d / h + 1)) and floor(u + r_d / h), u = (x - lo) / h, differ
     from the chord forms by rounding alone, far inside the push, so each exact
-    end is still the estimate or its inner neighbour.  A chunk is
-    ``_CHUNK_ELEMENTS // (2R + 1)^d`` (slab, path) pairs in d >= 2, and in
-    d = 1 the whole slabs in Q = ``_CHUNK_ELEMENTS // 4`` pairs (Q pairs if
-    M > Q); its pairs are paths p0..p1 - 1 of consecutive slabs k, copied as
-    the segments ``positions[p0:p1, k]`` and ``w[p0:p1]``.  Entries run slab,
-    path, row, bin into one ``bincount`` per chunk, so every bin adds its
-    paths in increasing path index; in d = 1 the pairs are first summed, in
-    path order, per (L, first) group of runs first..first + L - 1, and the
-    groups are taken in increasing (L, first).  So bins covered by the same
-    paths add the same terms in the same order: bit-identical values.
-
-    Bins are in lexicographic order.  The rows live in a buffer of ``span``
-    slabs (the block bound of the module docstring).  Chunks run slab-major,
-    so when one reaches past the buffer the rows before its first slab are
-    finished: they are yielded as a view, valid until the next block is
-    drawn, and the unfinished rows move to the front of the zeroed buffer.
+    end is still the estimate or its inner neighbour.  A chunk (the rule of
+    the module docstring, with 2^16 = ``_CHUNK_ELEMENTS``) is paths
+    p0..p1 - 1 of slabs k0..k1 - 1, read slab-major from
+    ``positions[p0:p1, k0:k1]`` with the weights ``w[p0:p1]`` tiled.  Entries
+    run slab, path, row, bin into one ``bincount`` per chunk, so every bin
+    adds its paths in increasing path index; in d = 1 the pairs are first
+    summed, in path order, per (L, first) group of runs first..first + L - 1,
+    and the groups are taken in increasing (L, first).  So bins covered by
+    the same paths add the same terms in the same order: bit-identical
+    values.  A chunk of whole slabs gives its bins every entry in one
+    ``bincount``, so any bound that keeps the slabs whole gives the same
+    field bit for bit; when M > Q a slab's path ranges add in path order.
+    Bins are in lexicographic order, and each block is a fresh array.
     """
-    if h <= 0:
+    if not h > 0:  # a NaN too
         raise InvalidParameterError(f"bin width must be positive, got {h}")
     d, n, n_paths = ensemble.d, ensemble.n_steps, ensemble.n_paths
     lo = np.asarray(ensemble.box.lo)
@@ -242,68 +241,66 @@ def _field_blocks(ensemble: GibbsEnsemble, h: float):
     reach = int(np.ceil(r / h)) + 1
     offsets = np.arange(-reach, reach + 1)
     w = ensemble.normalized_weights
-    chunk = max(1, _CHUNK_ELEMENTS // len(offsets) ** d)
-    if d == 1:  # no per-bin entries: the whole slabs in Q pairs, or Q pairs of one
-        chunk = max(1, _CHUNK_ELEMENTS // 4 // n_paths * n_paths or _CHUNK_ELEMENTS // 4)
-    span = min(n, max(_CHUNK_ELEMENTS // n_bins, math.ceil(chunk / n_paths) + 1))
-    values, base = np.zeros((span, n_bins)), 0  # base: the slab of the buffer's first row
+    # a chunk: whole slabs of all paths in Q pairs, or Q paths of one slab when M > Q
+    pairs = max(1, _CHUNK_ELEMENTS // (4 * len(offsets) ** (d - 1)))
+    slabs, paths = max(1, pairs // n_paths), min(pairs, n_paths)
+    block = slabs * max(1, _CHUNK_ELEMENTS // (n_bins * slabs))
     # last-axis centers; bins -1 and shape[-1] read the inf
     last = np.append(lo[-1] + (np.arange(shape[-1]) + 0.5) * h, np.inf)
-    # (slab, path) pairs in slab-major order, a chunk of pairs at a time
-    for start in range(0, n * n_paths, chunk):
-        stop = min(start + chunk, n * n_paths)
-        k0, k1 = start // n_paths, (stop - 1) // n_paths + 1
-        if k1 > base + span:
-            yield values[:k0 - base]
-            values[:base + span - k0] = values[k0 - base:]
-            values[base + span - k0:] = 0.0
-            base = k0
-        # the chunk's segments: paths p0..p1 - 1 of slab k
-        segments = [(k, max(start - k * n_paths, 0), min(stop - k * n_paths, n_paths))
-                    for k in range(k0, k1)]
-        x = np.concatenate([ensemble.positions[p0:p1, k] for k, p0, p1 in segments])
-        weights = np.concatenate([w[p0:p1] for _, p0, p1 in segments])
-        flat = np.repeat(np.arange(k1 - k0) * n_bins, [p1 - p0 for _, p0, p1 in segments])
-        # outer axes: each row's sum of squared distances to its centers (0 in d = 1)
-        rows = np.zeros(())
-        for i in range(d - 1):
-            idx = np.floor((x[:, i] - lo[i]) / h).astype(np.int64)[:, np.newaxis] + offsets
-            sq = (x[:, i, np.newaxis] - (lo[i] + (idx + 0.5) * h)) ** 2
-            sq[(idx < 0) | (idx >= shape[i])] = np.inf
-            axis_shape = (len(x),) + (1,) * i + (len(offsets),)
-            rows = rows[..., np.newaxis] + sq.reshape(axis_shape)
-            flat = flat[..., np.newaxis] + (idx * strides[i]).reshape(axis_shape)
-        # last axis: each row's run of inside bins, from ends pushed half a bin
-        # outward, so that each exact end is the estimate or its inner neighbour
-        xl = x[:, -1].reshape((-1,) + (1,) * (d - 1))
-        if d == 1:  # no outer sum: the ends from u = (x - lo) / h alone
-            u = (xl - lo[0]) / h
-            jl = np.clip(np.ceil(u - (r / h + 1.0)), 0, shape[0]).astype(np.int64)
-            jr = np.clip(np.floor(u + r / h), -1, shape[0] - 1).astype(np.int64)
-            jl += (xl - last[jl]) ** 2 > r * r
-            jr -= (xl - last[jr]) ** 2 > r * r
-        else:
-            half = np.sqrt(np.maximum(r * r - rows, 0.0))
-            jl = np.clip(np.ceil((xl - half - lo[-1]) / h - 1.0), 0, shape[-1]).astype(np.int64)
-            jr = np.clip(np.floor((xl + half - lo[-1]) / h), -1, shape[-1] - 1).astype(np.int64)
-            jl += rows + (xl - last[jl]) ** 2 > r * r
-            jr -= rows + (xl - last[jr]) ** 2 > r * r
-        count, first = np.maximum(jr - jl + 1, 0).ravel(), (flat + jl).ravel()
-        if d == 1:
-            # keyed (L - low, first); an empty run's first may be one past the bins
-            size, low = (k1 - k0) * n_bins + 1, count.min()
-            sums = np.bincount((count - low) * size + first, weights,
-                               minlength=(count.max() - low + 1) * size)
-            groups = np.flatnonzero(sums)
-            weights, count, first = sums[groups], groups // size + low, groups % size
-        skip = np.cumsum(count)
-        skip -= count  # entries before each row
-        bins = np.repeat(first - skip, count)
-        bins += np.arange(len(bins))
-        weights = np.repeat(weights, count.reshape(len(weights), -1).sum(axis=1))
-        values[k0 - base:k1 - base] += np.bincount(
-            bins, weights=weights, minlength=(k1 - k0) * n_bins).reshape(k1 - k0, n_bins)
-    yield values[:n - base]
+    for b0 in range(0, n, block):
+        b1 = min(b0 + block, n)
+        values = np.zeros((b1 - b0, n_bins))
+        for k0, p0 in itertools.product(range(b0, b1, slabs), range(0, n_paths, paths)):
+            k1, p1 = min(k0 + slabs, b1), min(p0 + paths, n_paths)
+            # the chunk's pairs, slab-major: paths p0..p1 - 1 of each slab k0..k1 - 1
+            x = ensemble.positions[p0:p1, k0:k1].swapaxes(0, 1).reshape(-1, d)
+            weights = np.tile(w[p0:p1], k1 - k0)
+            flat = np.repeat(np.arange(k1 - k0) * n_bins, p1 - p0)
+            # outer axes: each row's sum of squared distances to its centers (0 in d = 1)
+            rows = np.zeros(())
+            for i in range(d - 1):
+                idx = np.floor((x[:, i] - lo[i]) / h).astype(np.int64)[:, np.newaxis] + offsets
+                sq = (x[:, i, np.newaxis] - (lo[i] + (idx + 0.5) * h)) ** 2
+                sq[(idx < 0) | (idx >= shape[i])] = np.inf
+                axis_shape = (len(x),) + (1,) * i + (len(offsets),)
+                rows = rows[..., np.newaxis] + sq.reshape(axis_shape)
+                flat = flat[..., np.newaxis] + (idx * strides[i]).reshape(axis_shape)
+                del idx, sq
+            # last axis: each row's run of inside bins, from ends pushed half a bin
+            # outward, so that each exact end is the estimate or its inner neighbour
+            xl = x[:, -1].reshape((-1,) + (1,) * (d - 1))
+            if d == 1:  # no outer sum: the ends from u = (x - lo) / h alone
+                u = (xl - lo[0]) / h
+                jl = np.clip(np.ceil(u - (r / h + 1.0)), 0, shape[0]).astype(np.int64)
+                jr = np.clip(np.floor(u + r / h), -1, shape[0] - 1).astype(np.int64)
+                jl += (xl - last[jl]) ** 2 > r * r
+                jr -= (xl - last[jr]) ** 2 > r * r
+            else:
+                half = np.sqrt(np.maximum(r * r - rows, 0.0))
+                jl = np.ceil((xl - half - lo[-1]) / h - 1.0)
+                jr = np.floor((xl + half - lo[-1]) / h)
+                del half
+                jl = np.clip(jl, 0, shape[-1]).astype(np.int64)
+                jr = np.clip(jr, -1, shape[-1] - 1).astype(np.int64)
+                jl += rows + (xl - last[jl]) ** 2 > r * r
+                jr -= rows + (xl - last[jr]) ** 2 > r * r
+            count, first = np.maximum(jr - jl + 1, 0).ravel(), (flat + jl).ravel()
+            del x, xl, rows, flat, jl, jr
+            if d == 1:
+                # keyed (L - low, first); an empty run's first may be one past the bins
+                size, low = (k1 - k0) * n_bins + 1, count.min()
+                sums = np.bincount((count - low) * size + first, weights,
+                                   minlength=(count.max() - low + 1) * size)
+                groups = np.flatnonzero(sums)
+                weights, count, first = sums[groups], groups // size + low, groups % size
+            skip = np.cumsum(count)
+            skip -= count  # entries before each row
+            bins = np.repeat(first - skip, count)
+            bins += np.arange(len(bins))
+            weights = np.repeat(weights, count.reshape(len(weights), -1).sum(axis=1))
+            values[k0 - b0:k1 - b0] += np.bincount(
+                bins, weights=weights, minlength=(k1 - k0) * n_bins).reshape(k1 - k0, n_bins)
+        yield values
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ goes through the library's ``polymer.field_report`` like the kernel's.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -143,19 +144,19 @@ def occupancy_field_candidates(ensemble, h: float,
     """Field values (n_steps, B) from ball tests of every candidate bin.
 
     Each (slab, path) pair is tested against all ``(2R + 1)^d`` bins around
-    the bin holding it, ``R = ceil(r_d / h) + 1``.  In d >= 2 a chunk holds
-    ``chunk_elements // (2R + 1)^d`` pairs and the kept entries, in slab,
-    path, stencil-offset order, feed one ``bincount`` per chunk.  In d = 1,
-    with ``Q = chunk_elements // 4``, a chunk holds the most whole slabs of
-    M pairs that fit in Q, or Q pairs of one slab when it holds more, and
-    never less than one pair; a pair's kept bins are one run of L bins from
-    ``first``: the chunk's pairs are summed, in pair order, into one weight
-    per (L, slab, first) group, and the groups, in sorted order, are added
-    bin by bin.  ``polymer._field_blocks`` copies each chunk's positions slab
-    segment by slab segment and makes one ball test per end of each row's
-    run of inside bins, at its estimate pushed half a bin outward, but keeps
-    these sums, their order and the chunks, so it must equal this bit for
-    bit.
+    the bin holding it, ``R = ceil(r_d / h) + 1``.  In every d, with
+    ``Q = chunk_elements // (4 (2R + 1)^(d - 1))`` (at least 1), a chunk is
+    the most whole slabs of M pairs that fit in Q, never less than one, or
+    when M > Q a range of Q paths of one slab: a rectangle of slabs times
+    paths, taken slab-major.  In d >= 2 the kept entries, in slab, path,
+    stencil-offset order, feed one ``bincount`` per chunk.  In d = 1 a pair's
+    kept bins are one run of L bins from ``first``: the chunk's pairs are
+    summed, in pair order, into one weight per (L, slab, first) group, and
+    the groups, in sorted order, are added bin by bin.  Each chunk's values
+    are added into its slabs' rows in chunk order.  ``polymer._field_blocks``
+    makes one ball test per end of each row's run of inside bins, at its
+    estimate pushed half a bin outward, but keeps these sums, their order and
+    the chunks, so it must equal this bit for bit.
     """
     d, n, n_paths = ensemble.d, ensemble.n_steps, ensemble.n_paths
     lo = np.asarray(ensemble.box.lo)
@@ -168,28 +169,26 @@ def occupancy_field_candidates(ensemble, h: float,
     offsets = np.arange(-reach, reach + 1)
     w = ensemble.normalized_weights
     values = np.zeros((n, n_bins))
-    chunk = max(1, chunk_elements // len(offsets) ** d)
-    if d == 1:
-        q = chunk_elements // 4
-        chunk = max(1, q if q < n_paths else n_paths * (q // n_paths))
-    for start in range(0, n * n_paths, chunk):
-        pair = np.arange(start, min(start + chunk, n * n_paths))
-        slab, path = np.divmod(pair, n_paths)
+    q = max(1, chunk_elements // (4 * len(offsets) ** (d - 1)))
+    slabs, paths = max(1, q // n_paths), min(q, n_paths)
+    for k0, p0 in itertools.product(range(0, n, slabs), range(0, n_paths, paths)):
+        k1, p1 = min(k0 + slabs, n), min(p0 + paths, n_paths)
+        slab, path = np.divmod(np.arange((k1 - k0) * (p1 - p0)), p1 - p0)
+        slab, path = slab + k0, path + p0
         x = ensemble.positions[path, slab, :]
-        k0, k1 = slab[0], slab[-1] + 1
         idx = np.floor((x - lo) / h).astype(np.int64)[:, :, np.newaxis] + offsets
         sq = (x[:, :, np.newaxis] - (lo[:, np.newaxis] + (idx + 0.5) * h)) ** 2
         sq[(idx < 0) | (idx >= shape[:, np.newaxis])] = np.inf
         dist2 = sq[:, 0]
         flat = ((slab - k0) * n_bins)[:, np.newaxis] + idx[:, 0] * strides[0]
         for i in range(1, d):
-            axis_shape = (len(pair),) + (1,) * i + (len(offsets),)
+            axis_shape = (len(slab),) + (1,) * i + (len(offsets),)
             dist2 = dist2[..., np.newaxis] + sq[:, i].reshape(axis_shape)
             flat = flat[..., np.newaxis] + (idx[:, i] * strides[i]).reshape(axis_shape)
-        keep = (dist2 <= r * r).reshape(len(pair), -1)
+        keep = (dist2 <= r * r).reshape(len(slab), -1)
         if d == 1:
             groups = {}
-            for p in range(len(pair)):
+            for p in range(len(slab)):
                 run = flat[p, keep[p]] - (slab[p] - k0) * n_bins
                 if len(run):
                     assert np.array_equal(run, np.arange(run[0], run[0] + len(run)))
@@ -202,7 +201,7 @@ def occupancy_field_candidates(ensemble, h: float,
             values[k0:k1] += chunk_values
             continue
         weights = np.repeat(w[path], keep.sum(axis=1))
-        values[k0:k1] += np.bincount(flat.reshape(len(pair), -1)[keep], weights=weights,
+        values[k0:k1] += np.bincount(flat.reshape(len(slab), -1)[keep], weights=weights,
                                      minlength=(k1 - k0) * n_bins).reshape(k1 - k0, n_bins)
     return values
 

@@ -1,4 +1,5 @@
-"""How often criteria 5 (the dp/dbeta cross-checks), 8 (IS replica overlap)
+"""How often criteria 5 and 5-exact (the dp/dbeta cross-checks), 6 (the
+free-energy sandwich), 7 (intensity monotonicity), 8 (IS replica overlap)
 and 8-exact (exact replica and favourite overlaps) pass on fresh draws.
 
 Reruns each criterion's computation, unchanged but for its seed, with the
@@ -7,14 +8,17 @@ assertion: the fraction of seeds on which it passes, and the median and
 worst margin in units of the assertion's own SE.  The margin is how far the
 assertion clears its threshold: (next - previous + 2 SE) / SE for an
 adjacent pair of a trend, where SE is the pair's combined SE, and
-(overlap - 0.5) / SE for the nu = 100 floor; for criterion 5, with SE the
-combined SE of the two estimates compared, (3 SE + 0.05 nu e^beta -
-|direct - palm|) / SE and (3 SE - |direct - fd|) / SE.  A margin >= 0
-passes.  pytest does not collect this file.  Run from the repository root:
+(overlap - 0.5) / SE for the nu = 100 floor; for criteria 5 and 5-exact,
+with SE the combined SE of the two estimates compared, (3 SE + 0.05 nu
+e^beta - |direct - palm|) / SE, (3 SE - |direct - fd|) / SE and
+(3 SE - |IS - exact palm|) / SE; for criterion 6, (p_hat - nu beta) / SE + 3
+and (annealed - p_hat) / SE + 3; for criterion 7, slack / SE + 3.  A margin
+>= 0 passes.  pytest does not collect this file.  Run from the repository
+root:
 
     PYTHONPATH=src python tests/seed_audit.py [S]
 
-S = 20 takes about 6-7 minutes on 2 cores.
+S = 20 takes about 8 minutes on 2 cores.
 """
 
 import dataclasses
@@ -25,9 +29,10 @@ import warnings
 
 import numpy as np
 
-from poissonpolymer.estimators import dp_dbeta
-from test_acceptance import (BETA_CELLS, CFG56, NU_CELLS, SEED, comb_se, exact_cells,
-                             is_overlaps)
+from oracles import nu_monotonicity
+from poissonpolymer.estimators import annealed_free_energy, dp_dbeta, quenched_free_energy
+from test_acceptance import (BETA_CELLS, CFG7, CFG56, NU_CELLS, SEED, comb_se, exact_cells,
+                             exact_palm, is_overlaps)
 
 
 def margins(overlaps, cells):
@@ -43,15 +48,36 @@ def margins(overlaps, cells):
 
 
 def criterion5_margins(seed):
-    """Criterion 5's two assertions on ``CFG56`` at ``seed`` -> their margins in SE."""
+    """The assertions of criteria 5 and 5-exact on ``CFG56`` at ``seed`` ->
+    their margins in SE."""
     est = dp_dbeta(dataclasses.replace(CFG56, seed=seed))
     direct, palm, fd = (est[f"dp_dbeta_{form}"]
                         for form in ("direct", "palm", "finite_difference"))
+    exact = exact_palm(seed)
     allowance = 0.05 * CFG56.nu * math.exp(CFG56.beta)
     se_palm, se_fd = comb_se(direct, palm), comb_se(direct, fd)
-    return {("5(palm)", "|direct - palm|"):
-            (3.0 * se_palm + allowance - abs(direct.value - palm.value)) / se_palm,
-            ("5(fd)", "|direct - fd|"): (3.0 * se_fd - abs(direct.value - fd.value)) / se_fd}
+    out = {("5(palm)", "|direct - palm|"):
+           (3.0 * se_palm + allowance - abs(direct.value - palm.value)) / se_palm,
+           ("5(fd)", "|direct - fd|"): (3.0 * se_fd - abs(direct.value - fd.value)) / se_fd}
+    for form, value in (("palm", palm), ("direct", direct)):
+        se = comb_se(value, exact)
+        out[f"5-exact({form})", f"|IS {form} - exact palm|"] = (
+            3.0 * se - abs(value.value - exact.value)) / se
+    return out
+
+
+def criterion6_7_margins(seed):
+    """The assertions of criteria 6 on ``CFG56`` and 7 on ``CFG7`` at
+    ``seed`` -> their margins in SE."""
+    quenched = quenched_free_energy(dataclasses.replace(CFG56, seed=seed))["quenched_free_energy"]
+    annealed = annealed_free_energy(dataclasses.replace(CFG56, seed=seed))["annealed_free_energy"]
+    slacks = nu_monotonicity(dataclasses.replace(CFG7, seed=seed), nu_lo=1.0)
+    return {("6", "p_hat >= nu beta"):
+            (quenched.value - CFG56.nu * CFG56.beta) / quenched.std_error + 3.0,
+            ("6", "p_hat <= annealed"):
+            (annealed.value - quenched.value) / comb_se(quenched, annealed) + 3.0,
+            **{("7", f"{side} slack >= 0"): slacks[side].value / slacks[side].std_error + 3.0
+               for side in ("lower", "upper")}}
 
 
 def main(n_seeds):
@@ -61,7 +87,7 @@ def main(n_seeds):
     start = time.perf_counter()
     for s in range(1, n_seeds + 1):
         seed = SEED + s
-        for key, margin in criterion5_margins(seed).items():
+        for key, margin in {**criterion5_margins(seed), **criterion6_7_margins(seed)}.items():
             rows.setdefault(key, []).append(margin)
         exact = exact_cells(seed)
         for trend, cells in (("beta-trend", BETA_CELLS), ("nu-trend", NU_CELLS)):

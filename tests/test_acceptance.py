@@ -162,12 +162,19 @@ def comb_se(a, b):
     return math.sqrt(a.std_error ** 2 + b.std_error ** 2)
 
 
+@pytest.fixture(scope="module")
+def cfg56_dp_dbeta():
+    """``dp_dbeta(CFG56)`` and its seconds, shared by criteria 5 and 5-exact."""
+    start = time.perf_counter()
+    est = dp_dbeta(CFG56)
+    return est, time.perf_counter() - start
+
+
 class TestCriterion5DerivativeCrossChecks:
     """Added-point identity and common-random-number finite differences."""
 
-    def test_direct_vs_palm_and_fd(self):
-        start = time.perf_counter()
-        est = dp_dbeta(CFG56)
+    def test_direct_vs_palm_and_fd(self, cfg56_dp_dbeta):
+        est, elapsed = cfg56_dp_dbeta
         direct, palm, fd = (est[f"dp_dbeta_{form}"]
                             for form in ("direct", "palm", "finite_difference"))
         allowance = 0.05 * CFG56.nu * math.exp(CFG56.beta)
@@ -175,12 +182,46 @@ class TestCriterion5DerivativeCrossChecks:
         tol_palm = 3.0 * comb_se(direct, palm) + allowance
         gap_fd = abs(direct.value - fd.value)
         tol_fd = 3.0 * comb_se(direct, fd)
-        elapsed = time.perf_counter() - start
         report("5(palm)", gap_palm <= tol_palm,
                f"|direct - palm| = {gap_palm:.4f} <= 3*SE + 0.05 nu e^beta "
                f"= {tol_palm:.4f} [{elapsed:.0f}s]")
         report("5(fd)", gap_fd <= tol_fd,
                f"|direct - fd| = {gap_fd:.2e} <= 3*SE = {tol_fd:.2e}")
+
+
+def exact_palm(seed=SEED):
+    """The exact Palm form of dp/dbeta at CFG56's cell: nu e^beta times the
+    field integral of m / (1 + lambda m) over ``transfer_d1``'s field at
+    every grid cell of step g = 1/32 (so bin width h = g), averaged over 100
+    clouds from ("cloud", i) of ``seed`` on ``oracles.fixed_window``."""
+    beta, nu, t, g, n_clouds = CFG56.beta, CFG56.nu, CFG56.t, 1 / 32, 100
+    lam, box = math.expm1(beta), fixed_window(t)
+    values = np.empty(n_clouds)
+    for i in range(n_clouds):
+        cloud = sample_poisson(box, nu, substream(seed, "cloud", i))
+        exact = transfer_d1(cloud, beta, t, CFG56.n_steps, g, g)
+        _, (integral,) = field_report([exact.field], g, 1, 0.25, (lambda m: m / (1.0 + lam * m),))
+        values[i] = nu * math.exp(beta) * integral
+    return EstimateWithError(float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_clouds)))
+
+
+class TestCriterion5ExactPalm:
+    """Criterion 5's IS Palm and direct estimates (``cfg56_dp_dbeta``) each
+    within 3 combined SE of the exact Palm form (``exact_palm``); the Palm
+    identity makes the exact Palm mean the true dp/dbeta up to the grid."""
+
+    def test_is_palm_and_direct_match_exact_palm(self, cfg56_dp_dbeta):
+        est, _ = cfg56_dp_dbeta
+        start = time.perf_counter()
+        exact = exact_palm()
+        elapsed = time.perf_counter() - start
+        for form in ("palm", "direct"):
+            value = est[f"dp_dbeta_{form}"]
+            gap, tol = abs(value.value - exact.value), 3.0 * comb_se(value, exact)
+            report(f"5-exact({form})", gap <= tol,
+                   f"|IS {form} {value.value:.4f} - exact palm {exact.value:.4f} "
+                   f"(SE {exact.std_error:.4f})| = {gap:.4f} <= 3*SE = {tol:.4f} "
+                   f"[{elapsed:.1f}s]")
 
 
 class TestCriterion6FreeEnergySandwich:
@@ -199,14 +240,16 @@ class TestCriterion6FreeEnergySandwich:
                f"annealed = {annealed.value:.4f} + 3*SE [{elapsed:.0f}s]")
 
 
+CFG7 = ExperimentConfig(d=1, beta=1.0, nu=2.0, t=2.0, n_steps=128,
+                        n_paths=2000, n_envs=200, seed=SEED)
+
+
 class TestCriterion7IntensityMonotonicity:
     """Coupled slacks against the linear and exponential envelopes."""
 
     def test_coupled_slacks(self):
         start = time.perf_counter()
-        cfg = ExperimentConfig(d=1, beta=1.0, nu=2.0, t=2.0, n_steps=128,
-                               n_paths=2000, n_envs=200, seed=SEED)
-        res = nu_monotonicity(cfg, nu_lo=1.0)
+        res = nu_monotonicity(CFG7, nu_lo=1.0)
         lower, upper = res["lower"], res["upper"]
         ok = (lower.value >= -3.0 * lower.std_error
               and upper.value >= -3.0 * upper.std_error)

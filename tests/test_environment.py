@@ -115,6 +115,19 @@ class TestPointCloud:
         with pytest.raises(InvalidParameterError):
             PointCloud(times=np.array(times), coords=np.array(coords), box=BOX1)
 
+    # a NaN fails every comparison, so each check must be the good case negated
+    @pytest.mark.parametrize("build", [
+        lambda: PointCloud(times=[math.nan], coords=[[0.0]], box=BOX1),
+        lambda: PointCloud(times=[0.5, math.nan], coords=[[0.0], [0.0]], box=BOX1),
+        lambda: PointCloud(times=[0.5], coords=[[math.nan]], box=BOX1),
+        lambda: SpaceTimeBox(math.nan, (-1.0,), (1.0,)),
+        lambda: SpaceTimeBox(1.0, (math.nan,), (1.0,)),
+        lambda: SpaceTimeBox(1.0, (-1.0, -1.0), (1.0, math.nan)),
+    ], ids=["time", "second-time", "coord", "t_max", "lo", "hi"])
+    def test_nan_in_box_or_cloud_refused(self, build):
+        with pytest.raises(InvalidParameterError):
+            build()
+
 
 class TestDrawPoisson:
     @staticmethod

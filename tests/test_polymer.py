@@ -272,8 +272,9 @@ class TestOccupancyField:
 
     def test_invalid_bin_width(self):
         ens, _ = random_ensemble(seed=5)
-        with pytest.raises(InvalidParameterError):
-            field_report(polymer._field_blocks(ens, 0.0), 0.0, ens.d, delta=0.25)
+        for h in (0.0, math.nan):
+            with pytest.raises(InvalidParameterError):
+                field_report(polymer._field_blocks(ens, h), h, ens.d, delta=0.25)
 
     # the window is exactly as wide as the tubes, so the balls reach its
     # partial edge bins and the stencil reaches past it; h = 1.3 r is > r_d
@@ -285,9 +286,9 @@ class TestOccupancyField:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_chunk_loop_matches_dense_oracle(self, d, monkeypatch):
-        # at h = r/4 the stencil is 11 bins per axis: seven (slab, path)
-        # pairs per chunk in d >= 2 and 7 * 11 // 4 = 19 in d = 1, so chunks
-        # straddle slabs of 24 paths
+        # at h = r/4 the stencil is 11 bins per axis: 7 * 11^d // (4 * 11^(d - 1))
+        # = 19 (slab, path) pairs per chunk in every d, so each slab of 24
+        # paths takes two chunks
         monkeypatch.setattr(polymer, "_CHUNK_ELEMENTS", 7 * 11 ** d)
         ens = tight_ensemble(d, 24, seed=50 + d)
         assert_matches_dense(ens, unit_ball_radius(d) / 4.0)
@@ -295,7 +296,7 @@ class TestOccupancyField:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_equals_candidate_kernel_bit_for_bit(self, d, monkeypatch):
         # finding each row's run of inside bins from one-sided end estimates,
-        # on the chunk's per-slab segments, must keep the entries and their
+        # on the chunk's strided gather, must keep the entries and their
         # order of testing every candidate bin; h runs past r_d and the
         # chunk bound down to one pair per chunk
         r = unit_ball_radius(d)
@@ -312,9 +313,9 @@ class TestOccupancyField:
             assert np.array_equal(values, occupancy_field_candidates(ens, h, chunk)), case
         assert filled >= 50
         # run ends on a half-integer bin index and rows tangent to the ball,
-        # in whole-field chunks and in chunks of three pairs, which split
-        # each slab of 10 paths over four chunks (in d = 1 the bound gives
-        # chunks of 5, 8 or 10 pairs)
+        # in whole-field chunks and in a bound of 3 (2R + 1)^d elements, which
+        # gives 5, 8 or 14 pairs in every d: each slab of 10 paths in two
+        # chunks, or in one
         tangent = 0
         for case in range(30):
             h = (0.125, 0.25, 0.5)[case % 3] * r
@@ -335,21 +336,25 @@ class TestOccupancyField:
             values = occupancy_field(ens, h).values
             assert np.array_equal(values, occupancy_field_candidates(ens, h, chunk)), case
 
-    def test_d1_field_does_not_depend_on_whole_slab_chunks(self, monkeypatch):
-        # a d = 1 chunk of whole slabs merges each slab's pairs on that slab's
-        # bins alone, so every chunk bound that keeps the slabs whole (one,
-        # four or all slabs per chunk; 16 M + 12 floors to four) gives the same
-        # field bit for bit
-        r = unit_ball_radius(1)
-        rng = np.random.default_rng(97)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_field_does_not_depend_on_whole_slab_chunks(self, d, monkeypatch):
+        # a chunk of whole slabs gives each of its bins every entry in one
+        # bincount (in d = 1, merges each slab's pairs on that slab's bins
+        # alone), so every chunk bound that keeps the slabs whole gives the
+        # same field bit for bit: Q = M, 4 M + 3 and n_steps M pairs, which
+        # make chunks of one, four and all slabs
+        r = unit_ball_radius(d)
+        rng = np.random.default_rng(96 + d)
         for case in range(24):
             h = (0.125, 0.25, 0.3, 1.3)[case % 4] * r
             n_paths = int(rng.integers(1, 60))
-            ens = (edge_ensemble(1, h, rng, n_steps=int(rng.integers(1, 24)), n_paths=n_paths)
-                   if case % 2 else random_gibbs_ensemble(case, n_paths=n_paths))
+            ens = (random_gibbs_ensemble(case, n_paths=n_paths) if d == 1 and case % 2 == 0
+                   else edge_ensemble(d, h, rng, n_steps=int(rng.integers(1, 24)),
+                                      n_paths=n_paths))
+            per_pair = 4 * (2 * math.ceil(r / h) + 3) ** (d - 1)  # elements per pair of Q
             fields = []
-            for chunk in (4 * n_paths, 16 * n_paths + 12, 2 ** 16):
-                monkeypatch.setattr(polymer, "_CHUNK_ELEMENTS", chunk)
+            for pairs in (n_paths, 4 * n_paths + 3, ens.n_steps * n_paths):
+                monkeypatch.setattr(polymer, "_CHUNK_ELEMENTS", per_pair * pairs)
                 fields.append(occupancy_field(ens, h).values)
             assert fields[0].any(), case
             assert all(np.array_equal(fields[0], f) for f in fields[1:]), case
@@ -493,8 +498,8 @@ class TestTwoToOne:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_streamed_report_equals_whole_field_oracle(self, d, monkeypatch):
         # every report field and density integral, bit for bit, over blocks
-        # from one slab up to the whole field and chunks straddling block
-        # edges; 28 makes d = 1 chunks of seven pairs, which split its slabs
+        # from one slab up to the whole field and chunks that split slabs;
+        # 28 makes d = 1 chunks of seven pairs, and d >= 2 chunks of one
         rng = np.random.default_rng(90 + d)
         chunks = (2 ** 16, 1, 7 * 11 ** d, 50, 28)
         densities = (lambda m: m / _tilt(0.7, m), lambda m: _log_tilt(0.7, m))
